@@ -1,9 +1,8 @@
 #include "common/mutex.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
-#include <vector>
 
 #include "common/macros.h"
 
@@ -15,8 +14,12 @@ namespace {
 
 // The calling thread's currently-held swan::Mutexes, in acquisition
 // order. Ranks along the stack are strictly decreasing — that is the
-// whole invariant, checked on every push.
-thread_local std::vector<const Mutex*> t_held_locks;
+// whole invariant, checked on every push — so the depth never exceeds
+// kLockRankCount. The stack is trivially destructible on purpose: a
+// thread_local with a destructor is torn down before static objects, and
+// static destructors (the global ThreadPool's) still lock mutexes.
+thread_local const Mutex* t_held_locks[kLockRankCount];
+thread_local int t_held_depth = 0;
 
 [[noreturn]] void RankAbort(const Mutex* acquiring, const Mutex* held) {
   if (acquiring == held) {
@@ -36,7 +39,8 @@ thread_local std::vector<const Mutex*> t_held_locks;
 }
 
 void CheckAcquire(const Mutex* mu) {
-  for (const Mutex* held : t_held_locks) {
+  for (int i = 0; i < t_held_depth; ++i) {
+    const Mutex* held = t_held_locks[i];
     if (held == mu || static_cast<int>(held->rank()) <=
                           static_cast<int>(mu->rank())) {
       RankAbort(mu, held);
@@ -44,12 +48,21 @@ void CheckAcquire(const Mutex* mu) {
   }
 }
 
+void PushHeld(const Mutex* mu) {
+  // CheckAcquire admitted `mu`, so its rank is below every held rank; the
+  // check fails only if kLockRankCount falls behind the LockRank enum.
+  SWAN_CHECK_LT(t_held_depth, kLockRankCount);
+  t_held_locks[t_held_depth++] = mu;
+}
+
 void PopHeld(const Mutex* mu) {
   // Unlock order may differ from reverse-acquisition order (MutexLock
   // supports early Unlock), so erase by search from the top.
-  for (auto it = t_held_locks.rbegin(); it != t_held_locks.rend(); ++it) {
-    if (*it == mu) {
-      t_held_locks.erase(std::next(it).base());
+  for (int i = t_held_depth - 1; i >= 0; --i) {
+    if (t_held_locks[i] == mu) {
+      std::copy(t_held_locks + i + 1, t_held_locks + t_held_depth,
+                t_held_locks + i);
+      --t_held_depth;
       return;
     }
   }
@@ -65,7 +78,7 @@ void PopHeld(const Mutex* mu) {
 void Mutex::Lock() {
   CheckAcquire(this);
   mu_.lock();
-  t_held_locks.push_back(this);
+  PushHeld(this);
 }
 
 void Mutex::Unlock() {
@@ -76,7 +89,7 @@ void Mutex::Unlock() {
 bool LockRankChecksEnabled() { return true; }
 
 int HeldLockCountForTesting() {
-  return static_cast<int>(t_held_locks.size());
+  return t_held_depth;
 }
 
 #else  // !SWAN_LOCK_RANK_CHECKS

@@ -64,6 +64,11 @@ enum class LockRank : int {
   kMetrics = 100,
 };
 
+// Number of LockRank values above. Ranks strictly decrease along a
+// thread's held-lock stack, so no thread ever holds more mutexes than
+// this at once.
+inline constexpr int kLockRankCount = 14;
+
 class CondVar;
 
 // Annotated, ranked mutex. Thin wrapper over std::mutex: the annotation

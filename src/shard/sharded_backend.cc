@@ -376,24 +376,18 @@ core::QueryResult ShardedBackend::RunQ5(const core::QueryContext& ctx,
                  semijoin ? "shard.q5.semijoin" : "shard.q5.bindings");
   span.set_rows_in(total_bindings);
   for (int rn : rec_nodes) {
-    const uint64_t local_bindings = bindings[static_cast<size_t>(rn)].size();
-    for (int tn : type_nodes) {
-      if (semijoin) {
-        // The key set is global (already deduplicated across holders);
-        // charge each holder its share of distinct keys.
-        uint64_t local_keys = 0;
-        std::unordered_set<uint64_t> seen;
-        for (const auto& [s, o] : bindings[static_cast<size_t>(rn)]) {
-          (void)s;
-          if (seen.insert(o).second) ++local_keys;
-        }
-        Ship(rn, tn, kBytesPerKey * local_keys, 1, ectx);
-      } else {
-        Ship(rn, tn, kBytesPerPair * local_bindings, 1, ectx);
-      }
-    }
+    const auto& local = bindings[static_cast<size_t>(rn)];
+    uint64_t bytes_per_type_holder = kBytesPerPair * local.size();
     if (semijoin) {
-      Ship(rn, coordinator_, kBytesPerPair * local_bindings, 1, ectx);
+      // The key set is global (already deduplicated across holders);
+      // charge each holder its share of distinct keys.
+      std::unordered_set<uint64_t> local_keys;
+      for (const auto& binding : local) local_keys.insert(binding.second);
+      bytes_per_type_holder = kBytesPerKey * local_keys.size();
+    }
+    for (int tn : type_nodes) Ship(rn, tn, bytes_per_type_holder, 1, ectx);
+    if (semijoin) {
+      Ship(rn, coordinator_, kBytesPerPair * local.size(), 1, ectx);
     }
   }
   for (int tn : type_nodes) {

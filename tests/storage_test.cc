@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -155,6 +158,58 @@ TEST(SimulatedDiskTest, ResetStatsClearsCounters) {
   EXPECT_EQ(disk.total_bytes_read(), 0u);
   EXPECT_EQ(disk.total_seeks(), 0u);
   EXPECT_DOUBLE_EQ(disk.clock().now(), 0.0);
+}
+
+std::vector<uint8_t> RandomPage(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<uint8_t> page(kPageSize);
+  for (auto& byte : page) byte = static_cast<uint8_t>(rng());
+  return page;
+}
+
+TEST(PageChecksumTest, EverySingleByteFlipChangesIt) {
+  std::vector<uint8_t> page = RandomPage(20080824);
+  const uint64_t clean = SimulatedDisk::PageChecksum(page.data());
+  for (size_t offset = 0; offset < kPageSize; ++offset) {
+    for (uint8_t mask : {0x01, 0x80, 0x5A, 0xFF}) {
+      page[offset] ^= mask;
+      ASSERT_NE(SimulatedDisk::PageChecksum(page.data()), clean)
+          << "offset " << offset << " mask " << int{mask};
+      page[offset] ^= mask;
+    }
+  }
+  EXPECT_EQ(SimulatedDisk::PageChecksum(page.data()), clean);
+}
+
+TEST(PageChecksumTest, SwappingTwoWordsChangesIt) {
+  const std::vector<uint8_t> page = RandomPage(7);
+  const uint64_t clean = SimulatedDisk::PageChecksum(page.data());
+  constexpr size_t kWords = kPageSize / sizeof(uint64_t);
+  // Word i is folded by lane i % 4: the first four pairs stay within one
+  // lane, the rest cross lanes.
+  const std::pair<size_t, size_t> swaps[] = {
+      {0, 4}, {1, 5}, {3, kWords - 1}, {100, 1020},
+      {0, 1}, {2, 7}, {0, kWords - 1}, {513, 514}};
+  for (const auto& [a, b] : swaps) {
+    std::vector<uint8_t> swapped = page;
+    uint8_t* wa = swapped.data() + a * sizeof(uint64_t);
+    uint8_t* wb = swapped.data() + b * sizeof(uint64_t);
+    ASSERT_NE(std::memcmp(wa, wb, sizeof(uint64_t)), 0);
+    std::swap_ranges(wa, wa + sizeof(uint64_t), wb);
+    EXPECT_NE(SimulatedDisk::PageChecksum(swapped.data()), clean)
+        << "words " << a << " and " << b;
+  }
+}
+
+TEST(PageChecksumTest, IsDeterministic) {
+  const std::vector<uint8_t> page = RandomPage(42);
+  const std::vector<uint8_t> copy = page;
+  EXPECT_EQ(SimulatedDisk::PageChecksum(page.data()),
+            SimulatedDisk::PageChecksum(page.data()));
+  EXPECT_EQ(SimulatedDisk::PageChecksum(page.data()),
+            SimulatedDisk::PageChecksum(copy.data()));
+  EXPECT_NE(SimulatedDisk::PageChecksum(page.data()),
+            SimulatedDisk::PageChecksum(PatternPage(0).data()));
 }
 
 TEST(BufferPoolTest, MissThenHit) {

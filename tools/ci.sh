@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI matrix driver, runnable locally or from .github/workflows/ci.yml:
 #   release  - plain Release build, -Werror, full ctest, trace + serve
-#              smokes, and every examples/ binary built and run
+#              smokes, the perfbench self-test, and every examples/
+#              binary built and run
 #   sanitize - ASan+UBSan RelWithDebInfo build, full ctest
 #   tsan     - ThreadSanitizer build, concurrency-focused tests + the
 #              serve smoke (real client threads through the service)
@@ -141,6 +142,10 @@ assert all(r['nodes'] == 2 for r in records), 'nodes dimension missing'
 assert len({r['node'] for r in records}) == 2, 'sessions all on one node'
 print('sharded querylog: %d records over 2 nodes' % len(records))
 "; } || status=1
+    # Benchmark request-generator self-test: one seed gives a
+    # byte-identical request stream, distinct seeds give distinct streams.
+    echo "=== release: perfbench self-test ==="
+    python3 "$REPO_ROOT/perfbench/run.py" --selftest || status=1
     # Every example must keep building and running (they double as living
     # API documentation).
     echo "=== release: examples ==="
