@@ -28,12 +28,6 @@ using colstore::SortDistinct;
 using colstore::SortedIntersect;
 using colstore::UnionDistinct;
 
-// Whether this run of a q2/q3/q4/q6-family query applies the
-// "interesting properties" restriction while scanning.
-bool UseFilter(QueryId id, const QueryContext& ctx) {
-  return UsesPropertyFilter(id) && !IsStar(id) && !ctx.FilterCoversAll();
-}
-
 // Morsel size for the triple store's fused column scans (matches the ops
 // kernels' chunking).
 constexpr uint64_t kScanMorsel = 1ull << 16;
@@ -272,7 +266,7 @@ QueryResult ColTripleBackend::RunQ2Family(QueryId id, const QueryContext& ctx,
   MarkSet a_subjects(ctx.dict_size());
   a_subjects.MarkAll(SubjectsWithPropObj(v.type, v.text, ectx));
 
-  const bool filter = UseFilter(id, ctx);
+  const bool filter = AppliesPropertyFilter(id, ctx);
   MarkSet interesting(filter ? ctx.dict_size() : 1);
   if (filter) interesting.MarkAll(ctx.interesting_properties());
 
@@ -308,7 +302,7 @@ QueryResult ColTripleBackend::RunQ3Family(QueryId id, const QueryContext& ctx,
     c_subjects.MarkAll(SubjectsWithPropObj(v.language, v.french, ectx));
   }
 
-  const bool filter = UseFilter(id, ctx);
+  const bool filter = AppliesPropertyFilter(id, ctx);
   MarkSet interesting(filter ? ctx.dict_size() : 1);
   if (filter) interesting.MarkAll(ctx.interesting_properties());
 
@@ -417,7 +411,7 @@ QueryResult ColTripleBackend::RunQ6Family(QueryId id, const QueryContext& ctx,
     }
   }
 
-  const bool filter = UseFilter(id, ctx);
+  const bool filter = AppliesPropertyFilter(id, ctx);
   MarkSet interesting(filter ? ctx.dict_size() : 1);
   if (filter) interesting.MarkAll(ctx.interesting_properties());
 

@@ -10,10 +10,6 @@ namespace swan::core {
 
 namespace {
 
-bool UseFilter(QueryId id, const QueryContext& ctx) {
-  return UsesPropertyFilter(id) && !IsStar(id) && !ctx.FilterCoversAll();
-}
-
 uint64_t PackPair(uint64_t a, uint64_t b) {
   SWAN_CHECK_MSG(a < (1ull << 32) && b < (1ull << 32),
                  "group keys must be 32-bit dictionary ids");
@@ -147,7 +143,7 @@ QueryResult PropertyTableBackend::RunQ2Family(QueryId id,
                                               const QueryContext& ctx) const {
   const auto& v = ctx.vocab();
   const auto a = SubjectSet(v.type, v.text);
-  const bool filter = UseFilter(id, ctx);
+  const bool filter = AppliesPropertyFilter(id, ctx);
   std::unordered_map<uint64_t, uint64_t> counts;
   ScanPattern({}, [&](const rdf::Triple& t) {
     if (a.count(t.subject) == 0) return;
@@ -167,7 +163,7 @@ QueryResult PropertyTableBackend::RunQ3Family(QueryId id,
   const bool q4 = BaseOf(id) == QueryId::kQ4;
   std::unordered_set<uint64_t> c;
   if (q4) c = SubjectSet(v.language, v.french);
-  const bool filter = UseFilter(id, ctx);
+  const bool filter = AppliesPropertyFilter(id, ctx);
 
   std::unordered_map<uint64_t, uint64_t> counts;
   ScanPattern({}, [&](const rdf::Triple& t) {
@@ -226,7 +222,7 @@ QueryResult PropertyTableBackend::RunQ6Family(QueryId id,
     });
     united.insert(extra.begin(), extra.end());
   }
-  const bool filter = UseFilter(id, ctx);
+  const bool filter = AppliesPropertyFilter(id, ctx);
   std::unordered_map<uint64_t, uint64_t> counts;
   ScanPattern({}, [&](const rdf::Triple& t) {
     if (united.count(t.subject) == 0) return;

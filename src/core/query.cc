@@ -90,6 +90,10 @@ bool UsesPropertyFilter(QueryId id) {
   }
 }
 
+bool AppliesPropertyFilter(QueryId id, const QueryContext& ctx) {
+  return UsesPropertyFilter(id) && !IsStar(id) && !ctx.FilterCoversAll();
+}
+
 QueryCoverage CoverageOf(QueryId id) {
   // Table 2 of the paper, extended with q8.
   switch (BaseOf(id)) {

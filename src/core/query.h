@@ -50,6 +50,13 @@ QueryId BaseOf(QueryId id);
 // (q1, q5, q7, q8 do not).
 bool UsesPropertyFilter(QueryId id);
 
+class QueryContext;
+
+// Whether this run of the query applies the restriction while scanning:
+// it takes one, is not a star variant, and the restriction does not cover
+// every property.
+bool AppliesPropertyFilter(QueryId id, const QueryContext& ctx);
+
 // Table 2 metadata: which simple triple patterns (1..8, Figure 2 left)
 // and join patterns (A/B/C) a query exercises.
 struct QueryCoverage {

@@ -12,10 +12,6 @@ namespace swan::core {
 
 namespace {
 
-bool ApplyFilter(QueryId id, const QueryContext& ctx) {
-  return UsesPropertyFilter(id) && !IsStar(id) && !ctx.FilterCoversAll();
-}
-
 // Subjects s with (s, property, object) in the graph.
 std::unordered_set<uint64_t> SubjectsOf(const std::vector<rdf::Triple>& triples,
                                         uint64_t property, uint64_t object) {
@@ -56,7 +52,7 @@ QueryResult ReferenceBackend::Run(QueryId id, const QueryContext& ctx,
   (void)ectx;  // the oracle stays single-threaded by design
   const Vocabulary& v = ctx.vocab();
   QueryResult result;
-  const bool filter = ApplyFilter(id, ctx);
+  const bool filter = AppliesPropertyFilter(id, ctx);
 
   switch (BaseOf(id)) {
     case QueryId::kQ1: {

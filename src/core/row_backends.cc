@@ -12,10 +12,6 @@ namespace swan::core {
 
 namespace {
 
-bool UseFilter(QueryId id, const QueryContext& ctx) {
-  return UsesPropertyFilter(id) && !IsStar(id) && !ctx.FilterCoversAll();
-}
-
 rdf::TriplePattern PatternPO(std::optional<uint64_t> p,
                              std::optional<uint64_t> o) {
   rdf::TriplePattern pattern;
@@ -89,7 +85,7 @@ QueryResult RowTripleBackend::RunQ2Family(QueryId id, const QueryContext& ctx,
   obs::Span span(ectx.trace(), "row_triple.q2_family");
   const auto& v = ctx.vocab();
   const std::unordered_set<uint64_t> a = SubjectSet(v.type, v.text, ectx);
-  const bool filter = UseFilter(id, ctx);
+  const bool filter = AppliesPropertyFilter(id, ctx);
 
   std::unordered_map<uint64_t, uint64_t> counts;
   {
@@ -138,7 +134,7 @@ QueryResult RowTripleBackend::RunQ3Family(QueryId id, const QueryContext& ctx,
   const bool with_language = BaseOf(id) == QueryId::kQ4;
   std::unordered_set<uint64_t> c;
   if (with_language) c = SubjectSet(v.language, v.french, ectx);
-  const bool filter = UseFilter(id, ctx);
+  const bool filter = AppliesPropertyFilter(id, ctx);
 
   auto accept = [&](const rdf::Triple& t) {
     if (a.count(t.subject) == 0) return false;
@@ -236,7 +232,7 @@ QueryResult RowTripleBackend::RunQ6Family(QueryId id, const QueryContext& ctx,
     }
     united.insert(extra.begin(), extra.end());
   }
-  const bool filter = UseFilter(id, ctx);
+  const bool filter = AppliesPropertyFilter(id, ctx);
 
   std::unordered_map<uint64_t, uint64_t> counts;
   {

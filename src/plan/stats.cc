@@ -2,44 +2,76 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_set>
+#include <vector>
+
+#include "common/radix_sort.h"
 
 namespace swan::plan {
 
+namespace {
+
+// One triple's subject or object, tagged with the triple's property.
+struct KeyedProperty {
+  uint64_t key;
+  uint64_t property;
+};
+
+// Summarizes one side (subjects or objects) of the triples in `pairs`:
+// returns the number of distinct keys overall and records, per property,
+// the triple count, the distinct keys (`distinct`) and the length of the
+// longest same-key run (`heaviest`). Two stable radix sorts order the
+// pairs by key and then by (property, key), so every quantity is a run
+// length read off a linear scan.
+uint64_t SummarizeSide(std::vector<KeyedProperty>* pairs,
+                       uint64_t PropertyStats::*distinct,
+                       uint64_t PropertyStats::*heaviest, StoreStats* stats) {
+  const std::vector<KeyedProperty>& sorted = *pairs;
+  const size_t n = sorted.size();
+  RadixSortBy(pairs, [](const KeyedProperty& e) { return e.key; });
+  uint64_t distinct_keys = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 0 || sorted[i].key != sorted[i - 1].key) ++distinct_keys;
+  }
+  RadixSortBy(pairs, [](const KeyedProperty& e) { return e.property; });
+  for (size_t begin = 0; begin < n;) {
+    const uint64_t property = sorted[begin].property;
+    PropertyStats& ps = stats->by_property[property];
+    size_t end = begin;
+    while (end < n && sorted[end].property == property) {
+      size_t run = end + 1;
+      while (run < n && sorted[run].property == property &&
+             sorted[run].key == sorted[end].key) {
+        ++run;
+      }
+      ++(ps.*distinct);
+      ps.*heaviest = std::max<uint64_t>(ps.*heaviest, run - end);
+      end = run;
+    }
+    ps.count = end - begin;
+    begin = end;
+  }
+  return distinct_keys;
+}
+
+}  // namespace
+
 StoreStats StoreStats::Collect(const rdf::Dataset& dataset) {
   StoreStats stats;
-  // Per-property frequency maps exist only during collection; the stats
-  // object keeps the aggregates (distinct counts + heaviest key).
-  std::unordered_map<uint64_t, std::unordered_map<uint64_t, uint64_t>>
-      subj_freq;
-  std::unordered_map<uint64_t, std::unordered_map<uint64_t, uint64_t>>
-      obj_freq;
-  std::unordered_set<uint64_t> subjects;
-  std::unordered_set<uint64_t> objects;
-  for (const rdf::Triple& t : dataset.triples()) {
-    ++stats.total_triples;
-    ++stats.by_property[t.property].count;
-    ++subj_freq[t.property][t.subject];
-    ++obj_freq[t.property][t.object];
-    subjects.insert(t.subject);
-    objects.insert(t.object);
+  const std::vector<rdf::Triple>& triples = dataset.triples();
+  stats.total_triples = triples.size();
+  std::vector<KeyedProperty> pairs(triples.size());
+  for (size_t i = 0; i < triples.size(); ++i) {
+    pairs[i] = {triples[i].subject, triples[i].property};
   }
-  stats.distinct_subjects = subjects.size();
-  stats.distinct_objects = objects.size();
-  for (auto& [property, ps] : stats.by_property) {
-    const auto& sf = subj_freq[property];
-    const auto& of = obj_freq[property];
-    ps.distinct_subjects = sf.size();
-    ps.distinct_objects = of.size();
-    for (const auto& [key, n] : sf) {
-      (void)key;
-      ps.max_subject_freq = std::max(ps.max_subject_freq, n);
-    }
-    for (const auto& [key, n] : of) {
-      (void)key;
-      ps.max_object_freq = std::max(ps.max_object_freq, n);
-    }
+  stats.distinct_subjects =
+      SummarizeSide(&pairs, &PropertyStats::distinct_subjects,
+                    &PropertyStats::max_subject_freq, &stats);
+  for (size_t i = 0; i < triples.size(); ++i) {
+    pairs[i] = {triples[i].object, triples[i].property};
   }
+  stats.distinct_objects =
+      SummarizeSide(&pairs, &PropertyStats::distinct_objects,
+                    &PropertyStats::max_object_freq, &stats);
   return stats;
 }
 

@@ -65,7 +65,10 @@ struct StoreStats {
 
   uint64_t distinct_properties() const { return by_property.size(); }
 
-  // One pass over the dataset's triples.
+  // Sort-and-scan passes over the dataset's triples: the (property,
+  // subject) and (property, object) pairs are radix-sorted once each, and
+  // every field is a run length read off a linear scan. Exact for
+  // arbitrary 64-bit ids.
   static StoreStats Collect(const rdf::Dataset& dataset);
 
   // Estimated number of triples matching the pattern shape (nullopt =

@@ -1,27 +1,46 @@
 #include "rowstore/stats.h"
 
-#include <algorithm>
-#include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "common/radix_sort.h"
 
 namespace swan::rowstore {
+
+namespace {
+
+// Sorts `keys` and stores each distinct key's multiplicity in `counts`.
+void CountRuns(std::vector<uint64_t>* keys,
+               std::unordered_map<uint64_t, uint64_t>* counts) {
+  RadixSortBy(keys, [](uint64_t k) { return k; });
+  const std::vector<uint64_t>& sorted = *keys;
+  size_t distinct = 0;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (i == 0 || sorted[i] != sorted[i - 1]) ++distinct;
+  }
+  counts->reserve(distinct);
+  for (size_t begin = 0; begin < sorted.size();) {
+    size_t end = begin + 1;
+    while (end < sorted.size() && sorted[end] == sorted[begin]) ++end;
+    counts->emplace(sorted[begin], end - begin);
+    begin = end;
+  }
+}
+
+}  // namespace
 
 TripleStats TripleStats::Compute(std::span<const rdf::Triple> triples) {
   TripleStats stats;
   stats.total_triples = triples.size();
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> prop_objects;
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> prop_subjects;
-  for (const rdf::Triple& t : triples) {
-    ++stats.subject_count[t.subject];
-    ++stats.property_count[t.property];
-    ++stats.object_count[t.object];
-    prop_objects[t.property].insert(t.object);
-    prop_subjects[t.property].insert(t.subject);
-  }
-  for (const auto& [p, objs] : prop_objects) {
-    stats.property_distinct_objects[p] = objs.size();
-  }
-  for (const auto& [p, subjs] : prop_subjects) {
-    stats.property_distinct_subjects[p] = subjs.size();
+  std::vector<uint64_t> keys(triples.size());
+  for (auto [component, counts] :
+       {std::pair{&rdf::Triple::subject, &stats.subject_count},
+        std::pair{&rdf::Triple::property, &stats.property_count},
+        std::pair{&rdf::Triple::object, &stats.object_count}}) {
+    for (size_t i = 0; i < triples.size(); ++i) {
+      keys[i] = triples[i].*component;
+    }
+    CountRuns(&keys, counts);
   }
   return stats;
 }

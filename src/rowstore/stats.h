@@ -18,9 +18,10 @@ struct TripleStats {
   std::unordered_map<uint64_t, uint64_t> subject_count;
   std::unordered_map<uint64_t, uint64_t> property_count;
   std::unordered_map<uint64_t, uint64_t> object_count;
-  std::unordered_map<uint64_t, uint64_t> property_distinct_objects;
-  std::unordered_map<uint64_t, uint64_t> property_distinct_subjects;
 
+  // Each count map is filled from one radix sort of that component's
+  // values: a distinct key is inserted once, with its run length, into a
+  // map reserved to the exact number of distinct keys.
   static TripleStats Compute(std::span<const rdf::Triple> triples);
 
   // Estimated number of triples matching `pattern`, using per-component

@@ -21,11 +21,6 @@ constexpr uint64_t kBytesPerKey = 8;
 constexpr uint64_t kBytesPerPair = 16;
 constexpr uint64_t kBytesPerTriple = 24;
 
-bool UseFilter(core::QueryId id, const core::QueryContext& ctx) {
-  return core::UsesPropertyFilter(id) && !core::IsStar(id) &&
-         !ctx.FilterCoversAll();
-}
-
 void SortUnique(std::vector<uint64_t>* v) {
   std::sort(v->begin(), v->end());
   v->erase(std::unique(v->begin(), v->end()), v->end());
@@ -234,7 +229,7 @@ core::QueryResult ShardedBackend::RunQ2Family(
     const exec::ExecContext& ectx) const {
   obs::Span span(ectx.trace(), "shard.q2");
   const core::Vocabulary& v = ctx.vocab();
-  const bool filter = UseFilter(id, ctx);
+  const bool filter = core::AppliesPropertyFilter(id, ctx);
   const std::vector<uint64_t> a_keys =
       GatherSubjectFilter(v.type, v.text, AllNodes(), ectx);
   const std::unordered_set<uint64_t> a(a_keys.begin(), a_keys.end());
@@ -266,7 +261,7 @@ core::QueryResult ShardedBackend::RunQ3Family(
     const exec::ExecContext& ectx) const {
   obs::Span span(ectx.trace(), "shard.q3");
   const core::Vocabulary& v = ctx.vocab();
-  const bool filter = UseFilter(id, ctx);
+  const bool filter = core::AppliesPropertyFilter(id, ctx);
   const bool q4 = core::BaseOf(id) == core::QueryId::kQ4;
   const std::vector<uint64_t> a_keys =
       GatherSubjectFilter(v.type, v.text, AllNodes(), ectx);
@@ -424,7 +419,7 @@ core::QueryResult ShardedBackend::RunQ6Family(
     const exec::ExecContext& ectx) const {
   obs::Span span(ectx.trace(), "shard.q6");
   const core::Vocabulary& v = ctx.vocab();
-  const bool filter = UseFilter(id, ctx);
+  const bool filter = core::AppliesPropertyFilter(id, ctx);
   const std::vector<int> rec_nodes = NodesFor(v.records);
 
   // Consumers of the Text-typed set: the records holders (to test their

@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "common/random.h"
+#include "plan/stats.h"
+#include "rdf/dataset.h"
 #include "rowstore/stats.h"
 #include "rowstore/triple_relation.h"
 #include "rowstore/vertical_relation.h"
@@ -45,7 +47,14 @@ TEST(TripleStatsTest, CountsComponents) {
   EXPECT_EQ(stats.CountOf(stats.property_count, 100), 60000u);
   EXPECT_EQ(stats.CountOf(stats.property_count, 200), 10u);
   EXPECT_EQ(stats.CountOf(stats.property_count, 300), 1u);
-  EXPECT_EQ(stats.CountOf(stats.property_distinct_objects, 100), 50u);
+}
+
+// Per-property distinct counts live in the planner's load-time statistics.
+TEST(TripleStatsTest, StoreStatsCountsDistinctObjectsPerProperty) {
+  rdf::Dataset dataset;
+  for (const rdf::Triple& t : SmallGraph()) dataset.Add(t);
+  const auto stats = plan::StoreStats::Collect(dataset);
+  EXPECT_EQ(stats.by_property.at(100).distinct_objects, 50u);
 }
 
 TEST(TripleStatsTest, EstimateUsesIndependence) {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI matrix driver, runnable locally or from .github/workflows/ci.yml:
 #   release  - plain Release build, -Werror, full ctest, trace + serve
-#              smokes, the perfbench self-test, and every examples/
-#              binary built and run
+#              smokes, a 400k-triple deep audit, the perfbench
+#              self-test, and every examples/ binary built and run
 #   sanitize - ASan+UBSan RelWithDebInfo build, full ctest
 #   tsan     - ThreadSanitizer build, concurrency-focused tests + the
 #              serve smoke (real client threads through the service)
@@ -142,6 +142,17 @@ assert all(r['nodes'] == 2 for r in records), 'nodes dimension missing'
 assert len({r['node'] for r in records}) == 2, 'sessions all on one node'
 print('sharded querylog: %d records over 2 nodes' % len(records))
 "; } || status=1
+    # Deep-audit smoke at the default 400k scale: a full audit re-collects
+    # the load-time statistics and compares them with the stored ones,
+    # besides walking every page. One row triple store, one column
+    # vertical store; any finding exits non-zero.
+    echo "=== release: deep audit smoke ==="
+    for axes in "row triple" "column vertical"; do
+      read -r engine scheme <<<"$axes"
+      echo "--- $engine/$scheme ---"
+      "$RELEASE_DIR/tools/swandb_shell" --generate 400000 --audit \
+        --engine "$engine" --scheme "$scheme" >/dev/null || status=1
+    done
     # Benchmark request-generator self-test: one seed gives a
     # byte-identical request stream, distinct seeds give distinct streams.
     echo "=== release: perfbench self-test ==="
