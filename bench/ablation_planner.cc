@@ -22,8 +22,8 @@
 #include "bench_common.h"
 #include "bench_support/query_bgps.h"
 #include "common/table_printer.h"
-#include "common/timer.h"
 #include "core/col_backends.h"
+#include "core/cost_meter.h"
 #include "core/row_backends.h"
 #include "exec/exec_context.h"
 #include "plan/optimizer.h"
@@ -48,12 +48,13 @@ struct ModeRun {
 ModeRun RunMode(Backend* backend, const std::vector<BgpPattern>& patterns,
                 const PlannerOptions& options) {
   backend->DropCaches();
-  const uint64_t bytes_before = backend->disk()->total_bytes_read();
   const swan::exec::ExecContext ectx(1);
-  swan::CpuTimer timer;
+  const auto before = swan::core::CostMeter::Take(*backend, ectx);
   auto result = swan::core::ExecuteBgp(*backend, patterns, ectx, options);
+  const swan::core::CostDelta cost =
+      swan::core::CostMeter::Take(*backend, ectx) - before;
   ModeRun run;
-  run.seconds = timer.ElapsedSeconds();
+  run.seconds = cost.user_seconds;
   if (!result.ok()) {
     std::fprintf(stderr, "execution failed: %s\n",
                  result.status().ToString().c_str());
@@ -63,8 +64,8 @@ ModeRun RunMode(Backend* backend, const std::vector<BgpPattern>& patterns,
   run.vars = std::move(result.value().vars);
   run.rows = std::move(result.value().rows);
   std::sort(run.rows.begin(), run.rows.end());
-  run.match_calls = ectx.counters().Snap().match_calls;
-  run.cold_bytes = backend->disk()->total_bytes_read() - bytes_before;
+  run.match_calls = cost.ops.match_calls;
+  run.cold_bytes = cost.bytes_read;
   return run;
 }
 

@@ -37,6 +37,7 @@
 #include "common/table_printer.h"
 #include "core/bgp.h"
 #include "core/col_backends.h"
+#include "core/cost_meter.h"
 #include "core/row_backends.h"
 
 namespace {
@@ -50,28 +51,16 @@ using swan::exec::ExecContext;
 
 std::string Key(int threads) { return std::to_string(threads); }
 
-using Snapshot = swan::exec::OpCounters::Snapshot;
+using swan::core::CostDelta;
+using swan::core::CostMeter;
 
-// Counter deltas over one entry's hot-measurement window (warm-up + reps).
-Snapshot Delta(const Snapshot& before, const Snapshot& after) {
-  Snapshot d;
-  d.parallel_regions = after.parallel_regions - before.parallel_regions;
-  d.morsels = after.morsels - before.morsels;
-  d.merge_join_partitions =
-      after.merge_join_partitions - before.merge_join_partitions;
-  d.match_calls = after.match_calls - before.match_calls;
-  d.bgp_batches = after.bgp_batches - before.bgp_batches;
-  d.bytes_read = after.bytes_read - before.bytes_read;
-  d.seeks = after.seeks - before.seeks;
-  return d;
-}
-
-// One bench row: a label, a group (for per-group geomeans), a hot
-// measurement under a context, and an equivalence gate against the
-// 1-thread reference.
+// One bench row: a label, a group (for per-group geomeans), the backend
+// it runs on, a hot measurement under a context, and an equivalence gate
+// against the 1-thread reference.
 struct Entry {
   std::string label;
   std::string group;
+  const Backend* backend;
   std::function<double(const ExecContext&)> hot_real_seconds;
   std::function<bool(const ExecContext&)> equivalent_to_serial;
 };
@@ -141,7 +130,7 @@ int main(int argc, char** argv) {
           swan::bench_support::MeasureCold(backend, q, ctx, serial, 1)
               .bytes_read;
       entries.push_back(Entry{
-          group + " " + ToString(q), group,
+          group + " " + ToString(q), group, backend,
           [backend, q, &ctx, reps](const ExecContext& ectx) {
             return swan::bench_support::MeasureHot(backend, q, ctx, ectx, reps)
                 .real_seconds;
@@ -167,7 +156,7 @@ int main(int argc, char** argv) {
     SWAN_CHECK_MSG(ref.ok(), "BGP reference run failed");
     const auto ref_rows = ref.value().rows;
     entries.push_back(Entry{
-        label, group,
+        label, group, backend,
         [backend, &bgp_query, reps](const ExecContext& ectx) {
           return swan::bench_support::MeasureBgpHot(backend, bgp_query, ectx,
                                                     reps)
@@ -182,12 +171,12 @@ int main(int argc, char** argv) {
   }
 
   // Measure: hot real seconds per entry per width, gated on equivalence.
-  // The operator-counter delta around each hot window (scheduler counters
-  // from the layers below, disk bytes/seeks credited by the harness) is
-  // kept for the per-width counters table.
+  // The cost delta around each hot window (scheduler counters from the
+  // layers below, the backend's disk bytes and seeks) is kept for the
+  // per-width counters table.
   bool equivalent = true;
   std::vector<std::vector<double>> hot_real(entries.size());
-  std::vector<std::vector<Snapshot>> hot_counters(entries.size());
+  std::vector<std::vector<CostDelta>> hot_costs(entries.size());
   for (size_t t = 0; t < thread_counts.size(); ++t) {
     std::printf("measuring %d thread(s)...\n", thread_counts[t]);
     const ExecContext ectx(thread_counts[t]);
@@ -197,9 +186,10 @@ int main(int argc, char** argv) {
                      entries[e].label.c_str(), thread_counts[t]);
         equivalent = false;
       }
-      const Snapshot before = ectx.counters().Snap();
+      const CostMeter before = CostMeter::Take(*entries[e].backend, ectx);
       hot_real[e].push_back(entries[e].hot_real_seconds(ectx));
-      hot_counters[e].push_back(Delta(before, ectx.counters().Snap()));
+      hot_costs[e].push_back(CostMeter::Take(*entries[e].backend, ectx) -
+                             before);
     }
   }
   SWAN_CHECK_MSG(equivalent,
@@ -242,12 +232,14 @@ int main(int argc, char** argv) {
        "bgp-batch", "MB read", "seeks"});
   for (size_t e = 0; e < entries.size(); ++e) {
     for (size_t i = 0; i < thread_counts.size(); ++i) {
-      const Snapshot& c = hot_counters[e][i];
+      const CostDelta& c = hot_costs[e][i];
       counters_table.AddRow(
           {entries[e].label, Key(thread_counts[i]),
-           std::to_string(c.parallel_regions), std::to_string(c.morsels),
-           std::to_string(c.merge_join_partitions),
-           std::to_string(c.match_calls), std::to_string(c.bgp_batches),
+           std::to_string(c.ops.parallel_regions),
+           std::to_string(c.ops.morsels),
+           std::to_string(c.ops.merge_join_partitions),
+           std::to_string(c.ops.match_calls),
+           std::to_string(c.ops.bgp_batches),
            swan::TablePrinter::Fixed(c.bytes_read / 1e6, 2),
            std::to_string(c.seeks)});
     }
@@ -303,7 +295,7 @@ int main(int argc, char** argv) {
     const size_t last = thread_counts.size() - 1;
     for (size_t e = 0; e < entries.size(); ++e) {
       json.Add(entries[e].label, entries[e].group,
-               hot_counters[e][0].bytes_read, hot_real[e][last],
+               hot_costs[e][0].bytes_read, hot_real[e][last],
                hot_real[e][0] / hot_real[e][last]);
     }
     json.AddRaw("triples", std::to_string(config.target_triples));

@@ -6,9 +6,7 @@
 #include <cstdlib>
 
 #include "common/macros.h"
-#include "common/timer.h"
 #include "core/profiling.h"
-#include "exec/thread_pool.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 
@@ -16,166 +14,141 @@ namespace swan::bench_support {
 
 namespace {
 
-// Times one execution of `body` (which returns the row count) against
-// the backend's aggregate cost model and returns the (real, user, bytes,
-// rows) observation. The aggregate virtuals make this topology-agnostic:
-// a single-node backend reports its one disk, a sharded backend reports
-// max-over-nodes virtual time plus modeled network time.
+// Times one execution of `body` (which returns the row count) between
+// two CostMeter readings, which cover every node of a sharded backend.
 template <typename Body>
-Measurement TimeOnce(core::Backend* backend, const Body& body) {
-  const double io_before = backend->VirtualSeconds();
-  const uint64_t bytes_before = backend->TotalBytesRead();
-  const uint64_t seeks_before = backend->TotalSeeks();
-  const uint64_t net_bytes_before = backend->TotalNetBytes();
-  const uint64_t net_messages_before = backend->TotalNetMessages();
-  const double net_seconds_before = backend->NetSeconds();
-  const std::vector<double> lanes_before = exec::LaneCpuSnapshot();
-  WallTimer wall;
-  CpuTimer timer;
+Measurement TimeOnce(core::Backend* backend, const exec::ExecContext& ectx,
+                     const Body& body) {
+  const core::CostMeter before = core::CostMeter::Take(*backend, ectx);
   const uint64_t rows = body();
   Measurement m;
-  m.user_seconds = timer.ElapsedSeconds();
-  m.wall_seconds = wall.ElapsedSeconds();
-
-  // Modeled parallel CPU: the portion of the process CPU charged to
-  // ParallelFor lanes progresses as its slowest lane; the serial rest
-  // runs start to finish. With no parallel work both terms are zero.
-  m.cpu_seconds = exec::ModeledCpuSeconds(
-      lanes_before, exec::LaneCpuSnapshot(), m.user_seconds);
-
-  m.real_seconds = m.cpu_seconds + (backend->VirtualSeconds() - io_before);
-  m.bytes_read = backend->TotalBytesRead() - bytes_before;
-  m.seeks = backend->TotalSeeks() - seeks_before;
-  m.net_bytes = backend->TotalNetBytes() - net_bytes_before;
-  m.net_messages = backend->TotalNetMessages() - net_messages_before;
-  m.net_seconds = backend->NetSeconds() - net_seconds_before;
+  static_cast<core::CostDelta&>(m) =
+      core::CostMeter::Take(*backend, ectx) - before;
   m.rows_returned = rows;
   return m;
 }
 
-// Executes one benchmark query under `ectx`, crediting the run's disk
-// traffic to the context's operator counters so benches can print the
-// full counter row per configuration.
+// Executes one benchmark query under `ectx`. A profiled run is bracketed
+// by a ScopedProfile instead of TimeOnce: the profile's own cost delta is
+// the measurement, so profile->RootRealSeconds() equals real_seconds
+// exactly.
 Measurement RunOnce(core::Backend* backend, core::QueryId id,
                     const core::QueryContext& ctx,
-                    const exec::ExecContext& ectx) {
-  Measurement m = TimeOnce(backend, [&] {
-    return backend->Run(id, ctx, ectx).row_count();
-  });
-  ectx.counters().bytes_read.fetch_add(m.bytes_read,
-                                       std::memory_order_relaxed);
-  ectx.counters().seeks.fetch_add(m.seeks, std::memory_order_relaxed);
+                    const exec::ExecContext& ectx, bool profiled) {
+  auto run = [&] { return backend->Run(id, ctx, ectx).row_count(); };
+  if (!profiled) return TimeOnce(backend, ectx, run);
+  core::ScopedProfile scoped(core::ToString(id), *backend, ectx);
+  const uint64_t rows = run();
+  Measurement m;
+  m.profile = scoped.Finish();
+  static_cast<core::CostDelta&>(m) = scoped.cost();
+  m.rows_returned = rows;
   return m;
 }
 
 Measurement Average(const std::vector<Measurement>& runs) {
   Measurement avg;
   if (runs.empty()) return avg;
-  for (const Measurement& m : runs) {
-    avg.real_seconds += m.real_seconds;
-    avg.cpu_seconds += m.cpu_seconds;
-    avg.user_seconds += m.user_seconds;
-    avg.wall_seconds += m.wall_seconds;
-    avg.bytes_read += m.bytes_read;
-    avg.seeks += m.seeks;
-    avg.net_bytes += m.net_bytes;
-    avg.net_messages += m.net_messages;
-    avg.net_seconds += m.net_seconds;
-    avg.rows_returned = m.rows_returned;
-    if (m.profile != nullptr) avg.profile = m.profile;
+  using core::CostDelta;
+  using Ops = exec::OpCounters::Snapshot;
+  const double n = static_cast<double>(runs.size());
+  for (double CostDelta::*f :
+       {&CostDelta::real_seconds, &CostDelta::cpu_seconds,
+        &CostDelta::user_seconds, &CostDelta::wall_seconds,
+        &CostDelta::io_seconds, &CostDelta::net_seconds}) {
+    double sum = 0.0;
+    for (const Measurement& m : runs) sum += m.*f;
+    avg.*f = sum / n;
   }
-  avg.real_seconds /= static_cast<double>(runs.size());
-  avg.cpu_seconds /= static_cast<double>(runs.size());
-  avg.user_seconds /= static_cast<double>(runs.size());
-  avg.wall_seconds /= static_cast<double>(runs.size());
-  avg.net_seconds /= static_cast<double>(runs.size());
-  avg.bytes_read /= runs.size();
-  avg.seeks /= runs.size();
-  avg.net_bytes /= runs.size();
-  avg.net_messages /= runs.size();
+  // Counters are means too, truncated to whole units.
+  for (uint64_t CostDelta::*f :
+       {&CostDelta::bytes_read, &CostDelta::reads, &CostDelta::seeks,
+        &CostDelta::net_bytes, &CostDelta::net_messages,
+        &CostDelta::pool_hits, &CostDelta::pool_misses}) {
+    uint64_t sum = 0;
+    for (const Measurement& m : runs) sum += m.*f;
+    avg.*f = sum / runs.size();
+  }
+  for (uint64_t Ops::*f :
+       {&Ops::parallel_regions, &Ops::morsels, &Ops::merge_join_partitions,
+        &Ops::match_calls, &Ops::bgp_batches, &Ops::star_gathers,
+        &Ops::net_bytes, &Ops::net_messages}) {
+    uint64_t sum = 0;
+    for (const Measurement& m : runs) sum += m.ops.*f;
+    avg.ops.*f = sum / runs.size();
+  }
+  avg.rows_returned = runs.back().rows_returned;
+  avg.profile = runs.back().profile;
   double variance = 0.0;
   for (const Measurement& m : runs) {
     const double d = m.real_seconds - avg.real_seconds;
     variance += d * d;
   }
-  avg.real_stddev = std::sqrt(variance / static_cast<double>(runs.size()));
+  avg.real_stddev = std::sqrt(variance / n);
   return avg;
+}
+
+// The cold protocol: every repetition starts with empty caches ("zapping
+// the memory completely").
+Measurement Cold(core::Backend* backend, core::QueryId id,
+                 const core::QueryContext& ctx, const exec::ExecContext& ectx,
+                 int repetitions, bool profiled) {
+  std::vector<Measurement> runs;
+  for (int i = 0; i < repetitions; ++i) {
+    backend->DropCaches();
+    runs.push_back(RunOnce(backend, id, ctx, ectx, profiled));
+  }
+  return Average(runs);
+}
+
+// The hot protocol: one unprofiled warm-up, then measured repetitions.
+Measurement Hot(core::Backend* backend, core::QueryId id,
+                const core::QueryContext& ctx, const exec::ExecContext& ectx,
+                int repetitions, bool profiled) {
+  RunOnce(backend, id, ctx, ectx, /*profiled=*/false);  // warm-up, ignored
+  std::vector<Measurement> runs;
+  for (int i = 0; i < repetitions; ++i) {
+    runs.push_back(RunOnce(backend, id, ctx, ectx, profiled));
+  }
+  return Average(runs);
 }
 
 }  // namespace
 
 Measurement MeasureCold(core::Backend* backend, core::QueryId id,
                         const core::QueryContext& ctx, int repetitions) {
-  return MeasureCold(backend, id, ctx, exec::ExecContext(), repetitions);
+  return Cold(backend, id, ctx, exec::ExecContext(), repetitions, false);
 }
 
 Measurement MeasureHot(core::Backend* backend, core::QueryId id,
                        const core::QueryContext& ctx, int repetitions) {
-  return MeasureHot(backend, id, ctx, exec::ExecContext(), repetitions);
+  return Hot(backend, id, ctx, exec::ExecContext(), repetitions, false);
 }
 
 Measurement MeasureCold(core::Backend* backend, core::QueryId id,
                         const core::QueryContext& ctx,
                         const exec::ExecContext& ectx, int repetitions) {
-  std::vector<Measurement> runs;
-  for (int i = 0; i < repetitions; ++i) {
-    backend->DropCaches();  // "zapping the memory completely"
-    runs.push_back(RunOnce(backend, id, ctx, ectx));
-  }
-  return Average(runs);
+  return Cold(backend, id, ctx, ectx, repetitions, false);
 }
 
 Measurement MeasureHot(core::Backend* backend, core::QueryId id,
                        const core::QueryContext& ctx,
                        const exec::ExecContext& ectx, int repetitions) {
-  RunOnce(backend, id, ctx, ectx);  // warm-up, ignored
-  std::vector<Measurement> runs;
-  for (int i = 0; i < repetitions; ++i) {
-    runs.push_back(RunOnce(backend, id, ctx, ectx));
-  }
-  return Average(runs);
+  return Hot(backend, id, ctx, ectx, repetitions, false);
 }
-
-namespace {
-
-// As RunOnce, but with a trace session attached for the duration of the
-// execution. The session starts on the disk's virtual clock *before*
-// TimeOnce reads it (the clock only advances on reads, so both see the
-// same instant) and finishes with the measurement's own modeled CPU, so
-// profile->RootRealSeconds() equals Measurement::real_seconds exactly.
-Measurement RunOnceProfiled(core::Backend* backend, core::QueryId id,
-                            const core::QueryContext& ctx,
-                            const exec::ExecContext& ectx) {
-  core::ScopedProfile scoped(core::ToString(id), *backend, ectx);
-  Measurement m = RunOnce(backend, id, ctx, ectx);
-  m.profile = scoped.FinishWithCpu(m.cpu_seconds);
-  return m;
-}
-
-}  // namespace
 
 Measurement MeasureColdProfiled(core::Backend* backend, core::QueryId id,
                                 const core::QueryContext& ctx,
                                 const exec::ExecContext& ectx,
                                 int repetitions) {
-  std::vector<Measurement> runs;
-  for (int i = 0; i < repetitions; ++i) {
-    backend->DropCaches();
-    runs.push_back(RunOnceProfiled(backend, id, ctx, ectx));
-  }
-  return Average(runs);
+  return Cold(backend, id, ctx, ectx, repetitions, true);
 }
 
 Measurement MeasureHotProfiled(core::Backend* backend, core::QueryId id,
                                const core::QueryContext& ctx,
                                const exec::ExecContext& ectx,
                                int repetitions) {
-  RunOnce(backend, id, ctx, ectx);  // warm-up, unprofiled and ignored
-  std::vector<Measurement> runs;
-  for (int i = 0; i < repetitions; ++i) {
-    runs.push_back(RunOnceProfiled(backend, id, ctx, ectx));
-  }
-  return Average(runs);
+  return Hot(backend, id, ctx, ectx, repetitions, true);
 }
 
 Measurement MeasureBgpHot(core::Backend* backend,
@@ -199,11 +172,7 @@ Measurement MeasureBgpHot(core::Backend* backend,
   run();  // warm-up, ignored
   std::vector<Measurement> runs;
   for (int i = 0; i < repetitions; ++i) {
-    Measurement m = TimeOnce(backend, run);
-    ectx.counters().bytes_read.fetch_add(m.bytes_read,
-                                         std::memory_order_relaxed);
-    ectx.counters().seeks.fetch_add(m.seeks, std::memory_order_relaxed);
-    runs.push_back(m);
+    runs.push_back(TimeOnce(backend, ectx, run));
   }
   return Average(runs);
 }
@@ -250,14 +219,11 @@ void RecordMeasurement(obs::Telemetry* telemetry, const std::string& workload,
   record.text_hash = obs::Fnv1a64(workload);
   record.backend = backend;
   record.rows = m.rows_returned;
-  record.bytes_read = m.bytes_read;
-  record.seeks = m.seeks;
-  record.io_seconds = m.real_seconds - m.cpu_seconds;
+  m.FillRecord(&record);
   // Standalone benches have no serve epoch; the modeled real cost is both
   // the record's latency and its position on the window axis.
   record.latency_seconds = m.real_seconds;
   record.vt_finish = m.real_seconds;
-  record.cpu_seconds = m.cpu_seconds;
   record.service_seconds = m.real_seconds;
   if (m.profile != nullptr && m.profile->finished()) {
     record.ops = obs::CollectEstimatedOps(m.profile->root());

@@ -8,6 +8,7 @@
 
 #include "core/backend.h"
 #include "core/bgp.h"
+#include "core/cost_meter.h"
 #include "core/query.h"
 #include "exec/exec_context.h"
 
@@ -18,33 +19,16 @@ class TraceSession;
 
 namespace swan::bench_support {
 
-// One measured query execution, averaged over repetitions.
-//
-// With exec::SetThreads(n > 1), real_seconds stays a *modeled* wall
-// cost that is deterministic on any host: CPU spent inside ParallelFor
-// chunks progresses as its slowest lane (max over the per-lane CPU
-// deltas) while serial CPU runs start to finish, and the simulated disk
-// likewise advances its clock by serial I/O plus the slowest I/O lane.
-// At one thread no lanes exist and the numbers reduce exactly to the
-// pre-parallel model (CPU time + virtual disk time).
-struct Measurement {
-  double real_seconds = 0.0;  // modeled critical-path CPU + virtual disk time
-  double cpu_seconds = 0.0;   // modeled critical-path CPU alone
-  double user_seconds = 0.0;  // CPU time summed over all threads
-  double wall_seconds = 0.0;  // host wall clock (diagnostic; host-dependent)
+// One measured query execution: the mean of the repetitions' cost
+// records plus the repetition statistics. real_seconds is modeled
+// (core::CostDelta), so it is deterministic on any host at any width; at
+// one thread it reduces to CPU time + virtual disk time.
+struct Measurement : core::CostDelta {
   // Standard deviation of real_seconds across the repetitions — the
   // paper's §3 remark ("we do not report the standard deviation ... the
   // differences were less than 30 milliseconds"), checkable here.
   double real_stddev = 0.0;
-  uint64_t bytes_read = 0;    // data pulled from the simulated disk(s)
-  uint64_t seeks = 0;         // random repositionings charged by the disk(s)
   uint64_t rows_returned = 0;
-  // Modeled inter-node traffic (scale-out backends only; zero on one
-  // node). net_seconds is already folded into real_seconds — the sharded
-  // backend's virtual clock is max(node disks) + network.
-  uint64_t net_bytes = 0;
-  uint64_t net_messages = 0;
-  double net_seconds = 0.0;
   // Set by the *Profiled variants: the finished trace session of the last
   // repetition. RootRealSeconds() matches real_seconds of that repetition
   // exactly, giving the profile's disk-vs-CPU decomposition of the
@@ -102,10 +86,11 @@ Measurement MeasureBgpHot(core::Backend* backend,
 
 // Folds one measurement into a fleet-telemetry bundle as a query-log
 // record: session "bench", kind "bench", text/hash = the workload name,
-// latency = the modeled real cost, plus byte/seek counters — and, when
-// the measurement came from a *Profiled variant, its span tree into the
-// bundle's cross-query aggregator. Lets standalone benches reuse the
-// serve tier's windowed percentiles and top-operators machinery.
+// latency = the modeled real cost, plus CostDelta::FillRecord's cost
+// fields — and, when the measurement came from a *Profiled variant, its
+// span tree into the bundle's cross-query aggregator. Lets standalone
+// benches reuse the serve tier's windowed percentiles and top-operators
+// machinery.
 void RecordMeasurement(obs::Telemetry* telemetry, const std::string& workload,
                        const std::string& backend, const Measurement& m);
 

@@ -14,17 +14,13 @@ int64_t NowNs(clockid_t clock) {
 
 }  // namespace
 
-void WallTimer::Restart() { start_ns_ = NowNs(CLOCK_MONOTONIC); }
+int64_t MonotonicNanos() { return NowNs(CLOCK_MONOTONIC); }
+int64_t ProcessCpuNanos() { return NowNs(CLOCK_PROCESS_CPUTIME_ID); }
 
-double WallTimer::ElapsedSeconds() const {
-  return static_cast<double>(NowNs(CLOCK_MONOTONIC) - start_ns_) * 1e-9;
-}
-
-void CpuTimer::Restart() { start_ns_ = NowNs(CLOCK_PROCESS_CPUTIME_ID); }
+void CpuTimer::Restart() { start_ns_ = ProcessCpuNanos(); }
 
 double CpuTimer::ElapsedSeconds() const {
-  return static_cast<double>(NowNs(CLOCK_PROCESS_CPUTIME_ID) - start_ns_) *
-         1e-9;
+  return static_cast<double>(ProcessCpuNanos() - start_ns_) * 1e-9;
 }
 
 }  // namespace swan

@@ -5,17 +5,10 @@
 
 namespace swan {
 
-// Wall-clock stopwatch (CLOCK_MONOTONIC).
-class WallTimer {
- public:
-  WallTimer() { Restart(); }
-
-  void Restart();
-  double ElapsedSeconds() const;
-
- private:
-  int64_t start_ns_;
-};
+// Raw clock readings in nanoseconds: CLOCK_MONOTONIC (wall) and
+// CLOCK_PROCESS_CPUTIME_ID (core::CostMeter differences both).
+int64_t MonotonicNanos();
+int64_t ProcessCpuNanos();
 
 // Process CPU-time stopwatch (CLOCK_PROCESS_CPUTIME_ID). This is the
 // paper's "user time": CPU spent by the DBMS, excluding I/O stalls. The

@@ -142,14 +142,10 @@ class Backend {
   virtual DistRouting* dist() const { return nullptr; }
 
   // --- aggregate modeled cost ------------------------------------------
-  // Every consumer of "how much did this backend's model charge" (the
-  // bench harness, ScopedProfile's trace sources, the serve tier's
-  // virtual clock) reads these instead of poking disk() directly, so a
-  // sharded backend can report max-over-node-clocks + network time while
-  // single-node backends keep their exact previous semantics.
-
-  // The backend's virtual clock: single-node = the disk clock; sharded =
-  // max over per-node disk clocks (nodes run in parallel) + network time.
+  // Read through core::CostMeter (and ScopedProfile's span samples), never
+  // through disk(), so a sharded backend reports every node. The virtual
+  // clock: single-node = the disk clock; sharded = max over per-node disk
+  // clocks (nodes run in parallel) + network time.
   virtual double VirtualSeconds() const { return disk()->clock().now(); }
   virtual uint64_t TotalBytesRead() const {
     return disk()->total_bytes_read();
@@ -164,8 +160,8 @@ class Backend {
   virtual uint64_t TotalNetMessages() const { return 0; }
   virtual double NetSeconds() const { return 0.0; }
 
-  // The backend's page cache, or nullptr for engines without one. The
-  // profiling layer snapshots its hit/miss statistics around a traced run.
+  // The backend's page cache, or nullptr for engines without one
+  // (CostMeter reads its hit/miss statistics).
   virtual const storage::BufferPool* buffer_pool() const { return nullptr; }
 
   // Total on-disk footprint of the backend's physical design.

@@ -694,24 +694,26 @@ audit::AuditReport ColVerticalBackend::Audit(audit::AuditLevel level) const {
   return report;
 }
 
+bool ColVerticalBackend::BaseContains(const rdf::Triple& t) const {
+  if (!table_->HasPartition(t.property)) return false;
+  const auto [lo, hi] = table_->SubjectRange(t.property, t.subject);
+  const EncodedColumn& obj = table_->EncodedObjects(t.property);
+  for (uint32_t i = lo; i < hi; ++i) {
+    if (obj.ValueAt(i) == t.object) return true;
+  }
+  return false;
+}
+
 Status ColVerticalBackend::Insert(const rdf::Triple& triple) {
   if (tombstones_.erase(triple) != 0) {
     // Cancels a pending delete; the base partition still holds the row.
     return Status::OK();
   }
-  if (delta_set_.count(triple) != 0) {
+  if (delta_set_.count(triple) != 0 || BaseContains(triple)) {
     return Status::AlreadyExists("triple already present");
   }
-  if (table_->HasPartition(triple.property)) {
-    const auto [lo, hi] =
-        table_->SubjectRange(triple.property, triple.subject);
-    const EncodedColumn& obj = table_->EncodedObjects(triple.property);
-    for (uint32_t i = lo; i < hi; ++i) {
-      if (obj.ValueAt(i) == triple.object) {
-        return Status::AlreadyExists("triple already present");
-      }
-    }
-  } else if (delta_.count(triple.property) == 0) {
+  if (!table_->HasPartition(triple.property) &&
+      delta_.count(triple.property) == 0) {
     // The data-driven schema grows: a new property means a new table.
     ++partitions_created_;
   }
@@ -732,21 +734,9 @@ Status ColVerticalBackend::Delete(const rdf::Triple& triple) {
     if (it->second.empty()) delta_.erase(it);
     return Status::OK();
   }
-  if (tombstones_.count(triple) != 0) {
+  if (tombstones_.count(triple) != 0 || !BaseContains(triple)) {
     return Status::NotFound("triple not present");
   }
-  bool in_base = false;
-  if (table_->HasPartition(triple.property)) {
-    const auto [lo, hi] = table_->SubjectRange(triple.property, triple.subject);
-    const EncodedColumn& obj = table_->EncodedObjects(triple.property);
-    for (uint32_t i = lo; i < hi; ++i) {
-      if (obj.ValueAt(i) == triple.object) {
-        in_base = true;
-        break;
-      }
-    }
-  }
-  if (!in_base) return Status::NotFound("triple not present");
   tombstones_.insert(triple);
   return Status::OK();
 }

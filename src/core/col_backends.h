@@ -176,6 +176,8 @@ class ColVerticalBackend : public BackendBase {
   QueryResult RunQ8(const QueryContext& ctx,
                     const exec::ExecContext& ectx) const;
 
+  // True if the triple exists in the merged (base) partitions.
+  bool BaseContains(const rdf::Triple& triple) const;
   void EnsureMerged();
 
   colstore::ColumnCodec codec_;

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "exec/thread_pool.h"
-
 namespace swan::core {
 
 ScopedProfile::ScopedProfile(std::string root_name, const Backend& backend,
@@ -11,7 +9,8 @@ ScopedProfile::ScopedProfile(std::string root_name, const Backend& backend,
     : backend_(&backend), ectx_(&ectx) {
   // Time and cost come from the backend's aggregate virtuals, so a
   // sharded backend's spans see max-over-nodes virtual time plus modeled
-  // network time, and single-node backends reduce to their one disk.
+  // network time, and single-node backends reduce to their one disk. The
+  // sample runs at every span boundary, so it reads only what spans keep.
   const Backend* be = &backend;
   const exec::OpCounters* counters = &ectx.counters();
   obs::TraceSources sources;
@@ -28,16 +27,10 @@ ScopedProfile::ScopedProfile(std::string root_name, const Backend& backend,
     s.lane_seconds = be->LaneSecondsSnapshot();
     return s;
   };
-  if (const storage::BufferPool* pool = backend.buffer_pool()) {
-    pool_hits_before_ = pool->hits();
-    pool_misses_before_ = pool->misses();
-  }
-  disk_reads_before_ = backend.TotalReads();
-  lanes_cpu_before_ = exec::LaneCpuSnapshot();
   session_ = std::make_shared<obs::TraceSession>(
       std::move(root_name), std::move(sources), ectx.threads());
   ectx.AttachTrace(session_.get());
-  cpu_timer_.Restart();
+  start_ = CostMeter::Take(backend, ectx);
 }
 
 ScopedProfile::~ScopedProfile() {
@@ -45,37 +38,24 @@ ScopedProfile::~ScopedProfile() {
 }
 
 std::shared_ptr<obs::TraceSession> ScopedProfile::Finish() {
-  const double user = cpu_timer_.ElapsedSeconds();
-  return FinishWithCpu(exec::ModeledCpuSeconds(
-      lanes_cpu_before_, exec::LaneCpuSnapshot(), user));
-}
-
-std::shared_ptr<obs::TraceSession> ScopedProfile::FinishWithCpu(
-    double cpu_seconds) {
   if (finished_) return session_;
   finished_ = true;
+  cost_ = CostMeter::Take(*backend_, *ectx_) - start_;
   ectx_->AttachTrace(nullptr);
 
   // Fold end-of-query storage statistics into the registry. Hit/miss and
   // byte/seek totals are schedule-independent (the pool deduplicates
-  // in-flight reads), so these snapshots stay deterministic at any width.
+  // in-flight reads), so these deltas stay deterministic at any width.
   obs::MetricsRegistry& metrics = session_->metrics();
-  if (const storage::BufferPool* pool = backend_->buffer_pool()) {
-    metrics.GetCounter("buffer_pool.hits")
-        ->Add(pool->hits() - pool_hits_before_);
-    metrics.GetCounter("buffer_pool.misses")
-        ->Add(pool->misses() - pool_misses_before_);
+  if (backend_->buffer_pool() != nullptr) {
+    metrics.GetCounter("buffer_pool.hits")->Add(cost_.pool_hits);
+    metrics.GetCounter("buffer_pool.misses")->Add(cost_.pool_misses);
   }
-  metrics.GetCounter("disk.reads")
-      ->Add(backend_->TotalReads() - disk_reads_before_);
-  metrics.GetCounter("disk.bytes_read")
-      ->Add(session_->root().open.bytes_read <= backend_->TotalBytesRead()
-                ? backend_->TotalBytesRead() - session_->root().open.bytes_read
-                : 0);
-  metrics.GetCounter("disk.seeks")
-      ->Add(backend_->TotalSeeks() - session_->root().open.seeks);
+  metrics.GetCounter("disk.reads")->Add(cost_.reads);
+  metrics.GetCounter("disk.bytes_read")->Add(cost_.bytes_read);
+  metrics.GetCounter("disk.seeks")->Add(cost_.seeks);
 
-  session_->Finish(cpu_seconds);
+  session_->Finish(cost_.cpu_seconds);
   return session_;
 }
 

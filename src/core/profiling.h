@@ -3,30 +3,25 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "common/timer.h"
 #include "core/backend.h"
+#include "core/cost_meter.h"
 #include "exec/exec_context.h"
 #include "obs/trace.h"
 
 namespace swan::core {
 
-// Glue between a backend, an execution context, and an obs::TraceSession.
+// Glue between a backend, an execution context and an obs::TraceSession,
+// and the cost bracket of the profiled execution.
 //
-// Construction starts a session whose deterministic time source is the
-// backend's simulated-disk virtual clock and whose cost sample combines
-// the disk's byte/seek/lane accounting with the context's scheduler
-// counters, then attaches it to `ectx` so every instrumented layer below
-// records spans. Finish() (or the destructor) detaches at the same
-// quiescent point, folds buffer-pool and disk totals into the session's
-// metrics registry, and closes the root span.
-//
-// The modeled CPU figure can either be computed here (own CpuTimer + lane
-// snapshots bracketing the scope) or supplied by the caller via
-// FinishWithCpu — the bench harness passes the exact value it measured so
-// the profile's root "real" arithmetic matches Measurement::real_seconds
-// bit for bit.
+// Construction starts a session timed by the backend's virtual clock,
+// sampling its byte/seek/lane totals and the context's scheduler
+// counters, attaches it to `ectx` so every instrumented layer below
+// records spans, and takes the opening CostMeter reading. Finish() (or
+// the destructor) takes the closing reading, detaches, folds the delta's
+// buffer-pool and disk totals into the session's metrics, and closes the
+// root span with the delta's modeled CPU: RootRealSeconds() ==
+// cost().real_seconds bit for bit.
 class ScopedProfile {
  public:
   ScopedProfile(std::string root_name, const Backend& backend,
@@ -36,23 +31,19 @@ class ScopedProfile {
   ScopedProfile(const ScopedProfile&) = delete;
   ScopedProfile& operator=(const ScopedProfile&) = delete;
 
-  // Finishes with a self-measured modeled CPU cost.
+  // Closes the bracket and returns the finished session (idempotent).
   std::shared_ptr<obs::TraceSession> Finish();
 
-  // Finishes with the caller's modeled CPU cost (bench harness path).
-  std::shared_ptr<obs::TraceSession> FinishWithCpu(double cpu_seconds);
-
-  obs::TraceSession* session() { return session_.get(); }
+  // The opening reading, and the execution's cost once Finish() ran.
+  const CostMeter& start() const { return start_; }
+  const CostDelta& cost() const { return cost_; }
 
  private:
   const Backend* backend_;
   const exec::ExecContext* ectx_;
   std::shared_ptr<obs::TraceSession> session_;
-  uint64_t pool_hits_before_ = 0;
-  uint64_t pool_misses_before_ = 0;
-  uint64_t disk_reads_before_ = 0;
-  std::vector<double> lanes_cpu_before_;
-  CpuTimer cpu_timer_;
+  CostMeter start_;
+  CostDelta cost_;
   bool finished_ = false;
 };
 

@@ -98,7 +98,7 @@ uint64_t ShardsForWidth(uint64_t n, uint64_t min_items_per_shard, int width);
 // ---------------------------------------------------------------------------
 
 // Cumulative CPU seconds charged per lane by finished chunks (thread CPU
-// clock, summed into the chunk's lane). The bench harness snapshots this
+// clock, summed into the chunk's lane). core::CostMeter snapshots this
 // around a query and models parallel wall cost as max-over-lanes, mirroring
 // the simulated disk's per-lane virtual I/O accrual.
 std::vector<double> LaneCpuSnapshot();
@@ -107,8 +107,8 @@ std::vector<double> LaneCpuSnapshot();
 // LaneCpuSnapshot calls: CPU spent inside ParallelFor chunks progresses
 // as its slowest lane (max over per-lane deltas) while the serial rest of
 // `user_seconds` runs start to finish. With no parallel work both lane
-// terms are zero and the result is user_seconds. Shared by the bench
-// harness and the profiling layer so both report the same figure.
+// terms are zero and the result is user_seconds. Called by
+// core::CostMeter's difference only, so every report uses one figure.
 double ModeledCpuSeconds(const std::vector<double>& lanes_before,
                          const std::vector<double>& lanes_after,
                          double user_seconds);

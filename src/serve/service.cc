@@ -7,7 +7,6 @@
 #include "common/mutex.h"
 #include "common/timer.h"
 #include "core/profiling.h"
-#include "exec/thread_pool.h"
 #include "sparql/sparql.h"
 
 namespace swan::serve {
@@ -331,20 +330,11 @@ void QueryService::RunQueryTicket(const Ticket& ticket,
   // query's span tree, and span bookkeeping never advances the virtual
   // clock, so the modeled figures are unchanged. The Chrome-trace record
   // (one track per session) is kept only under options.trace.
-  const double trace_offset = backend.VirtualSeconds() - trace_clock0_;
-  auto profile = std::make_unique<core::ScopedProfile>(
+  core::ScopedProfile profile(
       ToString(ticket.request.kind) +
           std::string(" #") + std::to_string(ticket.ticket),
       backend, ticket.session->ectx());
-
-  const exec::OpCounters::Snapshot counters_before =
-      ticket.session->ectx().counters().Snap();
-  const uint64_t disk_bytes_before = backend.TotalBytesRead();
-  const uint64_t disk_seeks_before = backend.TotalSeeks();
-  const double net_seconds_before = backend.NetSeconds();
-  const std::vector<double> lanes_before = exec::LaneCpuSnapshot();
-  CpuTimer timer;
-  const double io_before = backend.VirtualSeconds();
+  const double trace_offset = profile.start().virtual_seconds - trace_clock0_;
 
   if (ticket.request.kind == Request::Kind::kBench) {
     if (!bench_ctx_.has_value()) {
@@ -376,32 +366,13 @@ void QueryService::RunQueryTicket(const Ticket& ticket,
     }
   }
 
-  const double user = timer.ElapsedSeconds();
-  const double modeled_cpu =
-      exec::ModeledCpuSeconds(lanes_before, exec::LaneCpuSnapshot(), user);
-  const double io = backend.VirtualSeconds() - io_before;
+  std::shared_ptr<obs::TraceSession> session = profile.Finish();
+  const core::CostDelta& cost = profile.cost();
   completion->service_seconds =
-      modeled_cpu + io + options_.request_overhead_seconds;
-
-  record->io_seconds = io;
-  record->latency_seconds = io + options_.request_overhead_seconds;
-  record->cpu_seconds = modeled_cpu;
-  record->bytes_read = backend.TotalBytesRead() - disk_bytes_before;
-  record->seeks = backend.TotalSeeks() - disk_seeks_before;
-  const exec::OpCounters::Snapshot counters_after =
-      ticket.session->ectx().counters().Snap();
-  record->match_calls = counters_after.match_calls - counters_before.match_calls;
-  record->morsels = counters_after.morsels - counters_before.morsels;
-  record->bgp_batches = counters_after.bgp_batches - counters_before.bgp_batches;
-  record->star_gathers =
-      counters_after.star_gathers - counters_before.star_gathers;
-  record->net_bytes = counters_after.net_bytes - counters_before.net_bytes;
-  record->net_messages =
-      counters_after.net_messages - counters_before.net_messages;
-  record->net_seconds = backend.NetSeconds() - net_seconds_before;
-
-  std::shared_ptr<obs::TraceSession> session =
-      profile->FinishWithCpu(modeled_cpu);
+      cost.real_seconds + options_.request_overhead_seconds;
+  cost.FillRecord(record);
+  record->latency_seconds =
+      cost.io_seconds + options_.request_overhead_seconds;
   record->ops = obs::CollectEstimatedOps(session->root());
   if (options_.trace) {
     // Already under turn_mutex_ (held across the whole execution).

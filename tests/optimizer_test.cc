@@ -15,6 +15,7 @@
 #include "bench_support/barton_generator.h"
 #include "bench_support/query_bgps.h"
 #include "core/col_backends.h"
+#include "core/cost_meter.h"
 #include "core/reference_backend.h"
 #include "core/row_backends.h"
 #include "core/store.h"
@@ -37,15 +38,16 @@ RunCost RunWithMode(core::Backend* backend,
                     const std::vector<core::BgpPattern>& patterns,
                     const plan::PlannerOptions& options) {
   backend->DropCaches();
-  const uint64_t bytes_before = backend->disk()->total_bytes_read();
   const exec::ExecContext ectx(1);
+  const core::CostMeter before = core::CostMeter::Take(*backend, ectx);
   auto result = core::ExecuteBgp(*backend, patterns, ectx, options);
+  const core::CostDelta delta = core::CostMeter::Take(*backend, ectx) - before;
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   RunCost cost;
   if (result.ok()) cost.rows = std::move(result.value().rows);
   std::sort(cost.rows.begin(), cost.rows.end());
-  cost.match_calls = ectx.counters().Snap().match_calls;
-  cost.cold_bytes = backend->disk()->total_bytes_read() - bytes_before;
+  cost.match_calls = delta.ops.match_calls;
+  cost.cold_bytes = delta.bytes_read;
   return cost;
 }
 

@@ -192,8 +192,7 @@ TEST(BackendStressTest, RowBackendCorrectUnderMinimalPool) {
   }
   // Same answers, but the cramped pool re-reads evicted pages: the roomy
   // pool reads every page at most once across the whole workload.
-  EXPECT_GT(cramped.disk()->total_bytes_read(),
-            2 * roomy.disk()->total_bytes_read());
+  EXPECT_GT(cramped.TotalBytesRead(), 2 * roomy.TotalBytesRead());
 }
 
 }  // namespace

@@ -141,6 +141,15 @@ records = [json.loads(l) for l in open('$RELEASE_DIR/querylog-sharded.jsonl')]
 assert all(r['nodes'] == 2 for r in records), 'nodes dimension missing'
 assert len({r['node'] for r in records}) == 2, 'sessions all on one node'
 print('sharded querylog: %d records over 2 nodes' % len(records))
+" &&
+      "$RELEASE_DIR/tools/swandb_shell" --generate 20000 --nodes 2 \
+        --query 'SELECT ?s ?o WHERE { ?s <origin> ?o } LIMIT 5' \
+        --querylog="$RELEASE_DIR/querylog-shell-sharded.jsonl" >/dev/null &&
+      python3 -c "
+import json
+r = json.loads(open('$RELEASE_DIR/querylog-shell-sharded.jsonl').readline())
+assert r['nodes'] == 2 and r['net_messages'] > 0, r
+print('sharded shell querylog: %d net messages' % r['net_messages'])
 "; } || status=1
     # Deep-audit smoke at the default 400k scale: a full audit re-collects
     # the load-time statistics and compares them with the stored ones,

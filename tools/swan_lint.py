@@ -43,6 +43,13 @@ Enforces repo-specific rules that clang-tidy cannot express:
                     topology aggregates, which silently corrupts the
                     max-over-nodes timing model. Holding a pointer or
                     reference to an existing disk/pool is fine.
+  cost-snapshot     No cost reads through a backend's disk() accessor
+                    (disk()->clock(), total_bytes_read(), total_seeks(),
+                    total_reads()) outside src/storage/ and
+                    src/core/backend.h. On a sharded backend disk() is the
+                    coordinator's disk alone; cost brackets take
+                    core::CostMeter readings, single reads use the
+                    Backend aggregate virtuals (TotalBytesRead(), ...).
 
 Suppression: append `// swan-lint: allow(<rule>)` to the offending line,
 or place it alone on the line directly above. Suppressions are per-rule;
@@ -78,11 +85,16 @@ RULES = [
     "plan-order",
     "serve-telemetry",
     "node-disk",
+    "cost-snapshot",
 ]
 
 # The only directory allowed to construct the per-node storage stack; the
 # factory storage::MakeNodeStorage lives here and net::Topology calls it.
 NODE_DISK_ALLOWED_PREFIX = "src/storage/"
+
+# Where a backend's disk() accessor may be read for cost: the storage
+# layer itself and the Backend virtuals that aggregate it.
+COST_SNAPSHOT_ALLOWED = ("src/storage/", "src/core/backend.h")
 
 # Layers that must never print: everything they observe flows through the
 # structured telemetry surface.
@@ -133,6 +145,10 @@ NODE_DISK_RE = re.compile(
     r"|\bnew\s+(?:swan::)?(?:storage::)?(?:SimulatedDisk|BufferPool)\b"
     r"|\b(?:swan::)?(?:storage::)?(?:SimulatedDisk|BufferPool)\s+"
     r"[A-Za-z_]\w*\s*[{(;=]"
+)
+COST_SNAPSHOT_RE = re.compile(
+    r"\bdisk\(\)\s*->\s*(?:clock|total_bytes_read|total_seeks|total_reads)"
+    r"\s*\("
 )
 SUPPRESS_RE = re.compile(r"//\s*swan-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 EXPECT_RE = re.compile(r"//\s*expect\(([a-z-]+)\)")
@@ -370,6 +386,13 @@ def lint_file(path, display_path, lines, status_names):
                    "src/storage/; stamp the node's stack out through "
                    "storage::MakeNodeStorage (net::Topology) so every disk "
                    "belongs to exactly one node")
+
+        if (not display_path.startswith(COST_SNAPSHOT_ALLOWED)
+                and COST_SNAPSHOT_RE.search(code)):
+            report(idx, "cost-snapshot",
+                   "cost read through disk(), which is one node's disk on a "
+                   "sharded backend; bracket with core::CostMeter::Take or "
+                   "read the Backend aggregate virtuals")
 
         for name in status_names:
             if name in code and find_bare_call(lines, idx, name):

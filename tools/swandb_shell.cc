@@ -61,7 +61,6 @@
 
 #include "audit/audit.h"
 #include "bench_support/barton_generator.h"
-#include "common/timer.h"
 #include "core/profiling.h"
 #include "core/store.h"
 #include "exec/exec_context.h"
@@ -406,19 +405,13 @@ int RunQuery(swan::core::RdfStore& store,
   // estimated-vs-actual cardinalities for every query; the `profile` flag
   // only controls whether the text profile is *printed*.
   swan::core::ScopedProfile scoped("query", store.backend(), ectx);
-  swan::CpuTimer timer;
-  const double io_before = store.backend().disk()->clock().now();
-  const uint64_t bytes_before = store.backend().disk()->total_bytes_read();
-  const uint64_t seeks_before = store.backend().disk()->total_seeks();
   auto result = swan::sparql::Execute(store.backend(), dataset, text, ectx,
                                       &store.stats());
-  const double user = timer.ElapsedSeconds();
-  const double io_after = store.backend().disk()->clock().now();
-  const double real = user + (io_after - io_before);
   std::shared_ptr<swan::obs::TraceSession> session = scoped.Finish();
+  const swan::core::CostDelta& cost = scoped.cost();
 
   // One structured query-log record per executed query. The latency on the
-  // deterministic surface is the virtual-disk delta; host CPU rides along
+  // deterministic surface is the virtual-clock delta; host CPU rides along
   // in the host-time fields only.
   swan::obs::QueryLogRecord record;
   record.seq = fleet->records();
@@ -430,14 +423,15 @@ int RunQuery(swan::core::RdfStore& store,
   record.ok = result.ok();
   if (!result.ok()) record.error = result.status().message();
   record.snapshot_version = store.snapshot_version();
-  record.vt_start = io_before;
-  record.vt_finish = io_after;
-  record.io_seconds = io_after - io_before;
-  record.latency_seconds = record.io_seconds;
-  record.bytes_read = store.backend().disk()->total_bytes_read() - bytes_before;
-  record.seeks = store.backend().disk()->total_seeks() - seeks_before;
-  record.cpu_seconds = user;
-  record.service_seconds = real;
+  if (const swan::core::DistRouting* dist = store.backend().dist()) {
+    record.node = dist->Coordinator();
+    record.nodes = dist->nodes();
+  }
+  record.vt_start = scoped.start().virtual_seconds;
+  record.vt_finish = record.vt_start + cost.io_seconds;
+  cost.FillRecord(&record);
+  record.latency_seconds = cost.io_seconds;
+  record.service_seconds = cost.real_seconds;
   if (result.ok()) {
     record.rows = result.value().rows.size();
     record.plan_mode = result.value().plan_note;
@@ -463,7 +457,7 @@ int RunQuery(swan::core::RdfStore& store,
   }
   std::printf("-- %llu rows, real %.4fs (user %.4fs)\n\n",
               static_cast<unsigned long long>(result.value().rows.size()),
-              real, user);
+              cost.real_seconds, cost.user_seconds);
   if (profile && session != nullptr) {
     std::printf("%s\n", swan::obs::TextProfile(*session).c_str());
     if (!options.profile_path.empty()) {
