@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <set>
 #include <unordered_map>
 
 #include "obs/metrics.h"
@@ -209,14 +208,18 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
                 const exec::ExecContext& ectx, obs::Histogram* batch_hist,
                 Table* table) {
   const plan::BgpPattern& pattern = step.pattern;
-  // One span per extension step, opened on the control thread; the
-  // Match spans inside worker lanes are suppressed automatically.
+  // One span per extension step, opened on the control thread. The probes
+  // run inside one ParallelFor region at every width, so their Match,
+  // kernel and net.ship spans are suppressed and this span's counter
+  // deltas account for them: the tree has one node per operator, not one
+  // per binding row.
   obs::Span extend_span(ectx.trace(), StepSpanName("bgp.extend", step.est_out));
   extend_span.set_rows_in(table->rows.size());
   const size_t known_vars = table->vars.size();
   const SlotRef s = ResolveTerm(pattern.subject, table);
   const SlotRef p = ResolveTerm(pattern.property, table);
   const SlotRef o = ResolveTerm(pattern.object, table);
+  const size_t out_width = table->vars.size();
 
   // Forward ship leg for annotated scale-out steps: the binding table
   // (or its distinct-key semi-join filter) travels coordinator -> home
@@ -238,16 +241,18 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
       } else {
         // The filter is the distinct values of the already-bound
         // variable terms this pattern joins on.
-        std::set<uint64_t> keys;
+        std::vector<uint64_t> keys;
         for (const SlotRef* ref : {&s, &p, &o}) {
           if (!ref->var_index || *ref->var_index >= known_vars) continue;
           for (const auto& row : table->rows) {
             if (*ref->var_index < row.size() &&
                 row[*ref->var_index] != kUnbound) {
-              keys.insert(row[*ref->var_index]);
+              keys.push_back(row[*ref->var_index]);
             }
           }
         }
+        std::sort(keys.begin(), keys.end());
+        keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
         const uint64_t distinct = std::max<uint64_t>(keys.size(), 1);
         dist->Ship(src, step.home_node, distinct * plan::kBytesPerKey, 1,
                    ectx);
@@ -280,9 +285,13 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
     for (const rdf::Triple& t : backend.Match(tp, ectx)) {
       // Extend the binding; enforce consistency for variables repeated
       // *within* this pattern (e.g. (?x, p, ?x)).
-      std::vector<uint64_t> extended = row;
-      extended.resize(table->vars.size(), 0);
-      std::vector<bool> set_now(table->vars.size() - known_vars, false);
+      std::vector<uint64_t> extended;
+      extended.reserve(out_width);
+      extended.assign(row.begin(), row.end());
+      extended.resize(out_width, 0);
+      // Bit k: fresh variable known_vars + k already bound by this match
+      // (a pattern introduces at most three).
+      unsigned set_now = 0;
       bool consistent = true;
       auto bind = [&](const SlotRef& ref, uint64_t value) {
         if (!ref.var_index) return;
@@ -297,13 +306,13 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
           }
           return;
         }
-        const size_t local = *ref.var_index - known_vars;
-        if (set_now[local] && extended[*ref.var_index] != value) {
+        const unsigned bit = 1u << (*ref.var_index - known_vars);
+        if ((set_now & bit) != 0 && extended[*ref.var_index] != value) {
           consistent = false;
           return;
         }
         extended[*ref.var_index] = value;
-        set_now[local] = true;
+        set_now |= bit;
       };
       bind(s, t.subject);
       bind(p, t.property);
@@ -312,7 +321,6 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
     }
   };
 
-  std::vector<std::vector<uint64_t>> next_rows;
   const uint64_t n = table->rows.size();
   if (batch_hist != nullptr) {
     // Observe the *logical* batch split (a function of n alone), not the
@@ -325,34 +333,32 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
       batch_hist->Observe(n);
     }
   }
+  // One region at every width: a single batch when the context is serial
+  // or the table small. Order-preserving stitch: batch b covers a
+  // contiguous row range, and batch outputs concatenate in batch order —
+  // the exact serial extension sequence regardless of lane interleaving.
   const uint64_t batches = ectx.parallel() && n >= 2 * kBindingsPerBatch
                                ? (n + kBindingsPerBatch - 1) / kBindingsPerBatch
                                : 1;
-  if (batches <= 1) {
-    for (const auto& row : table->rows) extend_row(row, &next_rows);
-  } else {
-    // Order-preserving stitch: batch b covers a contiguous row range,
-    // and batch outputs concatenate in batch order — the exact serial
-    // extension sequence regardless of lane interleaving.
-    ectx.counters().bgp_batches += batches;
-    std::vector<std::vector<std::vector<uint64_t>>> batch_out(batches);
-    ectx.ParallelFor(batches, 1, [&](uint64_t b, uint64_t e, uint64_t) {
-      for (uint64_t batch = b; batch < e; ++batch) {
-        const uint64_t lo = batch * kBindingsPerBatch;
-        const uint64_t hi = std::min<uint64_t>(n, lo + kBindingsPerBatch);
-        for (uint64_t i = lo; i < hi; ++i) {
-          extend_row(table->rows[i], &batch_out[batch]);
-        }
+  const uint64_t rows_per_batch = batches > 1 ? kBindingsPerBatch : n;
+  if (batches > 1) ectx.counters().bgp_batches += batches;
+  std::vector<std::vector<std::vector<uint64_t>>> batch_out(batches);
+  ectx.ParallelFor(batches, 1, [&](uint64_t b, uint64_t e, uint64_t) {
+    for (uint64_t batch = b; batch < e; ++batch) {
+      const uint64_t lo = batch * rows_per_batch;
+      const uint64_t hi = std::min<uint64_t>(n, lo + rows_per_batch);
+      for (uint64_t i = lo; i < hi; ++i) {
+        extend_row(table->rows[i], &batch_out[batch]);
       }
-    });
-    size_t total = 0;
-    for (const auto& out : batch_out) total += out.size();
-    next_rows.reserve(total);
-    for (auto& out : batch_out) {
-      for (auto& row : out) next_rows.push_back(std::move(row));
     }
+  });
+  table->rows = std::move(batch_out[0]);
+  size_t total = table->rows.size();
+  for (uint64_t b = 1; b < batches; ++b) total += batch_out[b].size();
+  table->rows.reserve(total);
+  for (uint64_t b = 1; b < batches; ++b) {
+    for (auto& row : batch_out[b]) table->rows.push_back(std::move(row));
   }
-  table->rows = std::move(next_rows);
   extend_span.set_rows_out(table->rows.size());
 }
 

@@ -16,6 +16,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sparql/sparql.h"
 
 namespace swan {
 namespace {
@@ -236,6 +237,44 @@ TEST_F(ObsProfileTest, SpanTreeShapeInvariantAcrossWidths) {
           EXPECT_EQ(shape, reference)
               << backend->name() << " " << core::ToString(q) << " width "
               << width;
+        }
+      }
+    }
+  }
+
+  // SPARQL reads through the BGP interpreter: each query's first
+  // extension yields well over 2 * 16 bindings, so the 8-wide run splits
+  // its probes into batches while the serial run does not.
+  const std::vector<std::string> sparql_queries = {
+      "SELECT ?s ?t WHERE { ?s <type> <Text> . ?s <language> ?t }",
+      "SELECT ?s ?o WHERE { ?s <type> <Text> . "
+      "OPTIONAL { ?s <records> ?o } }",
+      "SELECT ?s ?t WHERE { { ?s <type> <Text> . ?s <language> ?t } UNION "
+      "{ ?s <language> <language/iso639-2b/fre> . ?s <type> ?t } }",
+  };
+  for (core::BackendBase* backend :
+       {static_cast<core::BackendBase*>(&col),
+        static_cast<core::BackendBase*>(&row)}) {
+    for (const std::string& query : sparql_queries) {
+      std::string reference;
+      for (int width : {1, 2, 8}) {
+        const exec::ExecContext ectx(width);
+        backend->DropCaches();
+        core::ScopedProfile scoped("query", *backend, ectx);
+        auto result = sparql::Execute(*backend, barton_.dataset, query, ectx);
+        const std::shared_ptr<obs::TraceSession> session = scoped.Finish();
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ASSERT_FALSE(result.value().rows.empty()) << query;
+        if (width == 8) {
+          EXPECT_GT(ectx.counters().Snap().bgp_batches, 0u) << query;
+        }
+        const std::string shape = Shape(session->root());
+        if (width == 1) {
+          reference = shape;
+          EXPECT_NE(shape.find("bgp.extend"), std::string::npos) << query;
+        } else {
+          EXPECT_EQ(shape, reference)
+              << backend->name() << " " << query << " width " << width;
         }
       }
     }

@@ -10,12 +10,15 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_support/barton_generator.h"
 #include "common/macros.h"
 #include "core/store.h"
+#include "exec/thread_pool.h"
 #include "obs/querylog.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -153,6 +156,66 @@ TEST_F(TelemetryServeTest, PerSessionCountersDivergeFromGlobal) {
   EXPECT_EQ(log[2].session_cache_hits, 1u);
   EXPECT_EQ(log[2].session_cache_misses, 1u);
   service.Stop();
+}
+
+// Served profiles grow with plan operators, not binding rows: a read
+// whose second extension probes over a thousand bindings folds into the
+// same collapsed stacks with the same per-operator call counts at session
+// width 1 and 8, and no per-probe Match frame sits under an extension.
+TEST(TelemetryProfileSizeTest, ServedStacksGrowWithOperatorsNotRows) {
+  bench_support::BartonConfig config;
+  config.target_triples = 40000;
+  const auto barton = bench_support::GenerateBarton(config);
+  exec::SetThreads(8);
+
+  struct Folded {
+    std::vector<std::string> stacks;  // collapsed stacks, durations cut
+    std::vector<std::pair<std::string, uint64_t>> calls;  // per operator
+    uint64_t match_calls = 0;
+  };
+  auto serve_at = [&](int threads) {
+    const auto script = serve::ParseScript(
+        "session alice threads=" + std::to_string(threads) +
+        "\n"
+        "query alice SELECT ?s ?t WHERE { ?s <type> <Text> . "
+        "?s <language> ?t }\n");
+    SWAN_CHECK(script.ok());
+    auto store = core::RdfStore::Open(barton.dataset, core::StoreOptions{});
+    serve::QueryService service(
+        store.get(), bench_support::MakeBartonContext(barton.dataset, 28));
+    auto run = serve::RunScript(&service, script.value());
+    SWAN_CHECK(run.ok());
+    Folded folded;
+    std::istringstream stacks(service.telemetry().CollapsedStacks());
+    for (std::string line; std::getline(stacks, line);) {
+      folded.stacks.push_back(line.substr(0, line.rfind(' ')));
+    }
+    for (const auto& op : service.telemetry().TopOps()) {
+      folded.calls.emplace_back(op.name, op.calls);
+    }
+    std::sort(folded.calls.begin(), folded.calls.end());
+    for (const auto& record : service.telemetry().LogSnapshot()) {
+      folded.match_calls += record.match_calls;
+    }
+    service.Stop();
+    return folded;
+  };
+  const Folded serial = serve_at(1);
+  const Folded wide = serve_at(8);
+  exec::SetThreads(1);
+
+  EXPECT_GE(serial.match_calls, 1000u);
+  EXPECT_EQ(wide.match_calls, serial.match_calls);
+  ASSERT_FALSE(serial.stacks.empty());
+  EXPECT_EQ(wide.stacks, serial.stacks);
+  EXPECT_EQ(wide.calls, serial.calls);
+  for (const std::string& stack : serial.stacks) {
+    const size_t extend = stack.find("bgp.extend;");
+    if (extend == std::string::npos) continue;
+    const std::string below = stack.substr(extend + 11);
+    EXPECT_FALSE(below.substr(0, below.find(';')).ends_with(".match"))
+        << stack;
+  }
 }
 
 // ---------------------------------------------------------------------------

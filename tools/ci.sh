@@ -55,6 +55,18 @@ case "$mode" in
         --query 'SELECT ?s WHERE { ?s <type> <Text> } LIMIT 5' >/dev/null &&
       python3 "$REPO_ROOT/tools/validate_trace.py" \
         "$RELEASE_DIR/trace-smoke.json"; } || status=1
+    # EXPLAIN ANALYZE size smoke: BGP probes are recorded per operator, so
+    # the profile table of a two-pattern read has bgp.extend rows and no
+    # per-probe .match rows.
+    echo "=== release: explain analyze size smoke ==="
+    { "$RELEASE_DIR/tools/swandb_shell" --generate 20000 \
+        --query 'explain analyze SELECT ?s ?t WHERE { ?s <type> <Text> . ?s <language> ?t }' \
+        >"$RELEASE_DIR/explain-smoke.txt" &&
+      sed -n '/^span /,/^metrics:/p' "$RELEASE_DIR/explain-smoke.txt" \
+        >"$RELEASE_DIR/explain-smoke-profile.txt" &&
+      grep -Eq '^ +bgp\.extend' "$RELEASE_DIR/explain-smoke-profile.txt" &&
+      ! grep -Eq '^ +[^ ]*\.match ' "$RELEASE_DIR/explain-smoke-profile.txt" &&
+      echo "explain analyze size smoke: OK"; } || status=1
     # Serve smoke: a multi-session script through the concurrent query
     # service; the per-session Chrome trace must validate.
     echo "=== release: serve smoke ==="
