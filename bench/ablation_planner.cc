@@ -1,7 +1,7 @@
 // Ablation: what the statistics-driven cost-based planner buys over the
-// hand-wired textual order and the statistics-free heuristic, with the
-// adversarial worst order as the ceiling. Every benchmark BGP (q1–q8)
-// runs under all four plan modes on all four backend designs; the run is
+// hand-wired textual order and the statistics-free heuristic. Every
+// benchmark BGP (q1–q8) runs under all three plan modes on all four
+// backend designs; the run is
 // equivalence-gated (every mode must produce identical bindings) and
 // exits non-zero if the planner ever loses:
 //
@@ -100,17 +100,13 @@ int main(int argc, char** argv) {
 
   swan::bench::BenchJsonWriter json("ablation_planner");
   TablePrinter table({"backend", "query", "as-written", "heuristic",
-                      "worst-order", "cost-based", "cold KB (cost/heur)",
+                      "cost-based", "cold KB (cost/heur)",
                       "verdict"});
   int losses = 0;
   for (Backend* backend : backends) {
     PlannerOptions as_written_opts;
     as_written_opts.mode = PlanMode::kAsWritten;
     PlannerOptions heuristic_opts;  // default: kHeuristic, no stats
-    PlannerOptions worst_opts;
-    worst_opts.mode = PlanMode::kWorstOrder;
-    worst_opts.stats = &stats;
-    worst_opts.hints = backend->PlannerHints();
     PlannerOptions cost_opts;
     cost_opts.mode = PlanMode::kCostBased;
     cost_opts.stats = &stats;
@@ -120,15 +116,13 @@ int main(int argc, char** argv) {
       const ModeRun as_written = RunMode(backend, bgp.patterns,
                                          as_written_opts);
       const ModeRun heuristic = RunMode(backend, bgp.patterns, heuristic_opts);
-      const ModeRun worst = RunMode(backend, bgp.patterns, worst_opts);
       const ModeRun cost = RunMode(backend, bgp.patterns, cost_opts);
-      if (!as_written.ok || !heuristic.ok || !worst.ok || !cost.ok) return 1;
+      if (!as_written.ok || !heuristic.ok || !cost.ok) return 1;
 
       // Equivalence gate: conjunction is commutative, so every plan mode
       // must answer identically.
       if (heuristic.vars != as_written.vars || cost.vars != as_written.vars ||
-          worst.vars != as_written.vars || heuristic.rows != as_written.rows ||
-          cost.rows != as_written.rows || worst.rows != as_written.rows) {
+          heuristic.rows != as_written.rows || cost.rows != as_written.rows) {
         std::fprintf(stderr, "EQUIVALENCE FAILURE: %s %s: plan modes disagree "
                              "on the bindings\n",
                      backend->name().c_str(), bgp.name.c_str());
@@ -151,7 +145,6 @@ int main(int argc, char** argv) {
       table.AddRow({backend->name(), bgp.name,
                     TablePrinter::Int(as_written.match_calls),
                     TablePrinter::Int(heuristic.match_calls),
-                    TablePrinter::Int(worst.match_calls),
                     TablePrinter::Int(cost.match_calls),
                     TablePrinter::Int(cost.cold_bytes / 1024) + "/" +
                         TablePrinter::Int(heuristic.cold_bytes / 1024),
@@ -168,7 +161,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.ToString().c_str());
   std::printf(
       "columns are Backend::Match calls per plan mode (one cold run each).\n"
-      "expected shape: cost-based <= as-written <= worst-order everywhere;\n"
+      "expected shape: cost-based <= as-written everywhere;\n"
       "the heuristic sits between — it fixes the pathological textual "
       "orders\n(q2-q4, q6) but cannot see skew or pick star gathers.\n");
   char raw[96];

@@ -41,7 +41,9 @@ int main(int argc, char** argv) {
   for (const auto& var : result.value().vars) std::printf("%-28s", var.c_str());
   std::printf("\n");
   for (const auto& row : result.value().rows) {
-    for (const auto& text : row.text) std::printf("%-28s", text.c_str());
+    for (const auto& text : swan::sparql::DecodeRow(row, barton.dataset)) {
+      std::printf("%-28s", text.c_str());
+    }
     std::printf("\n");
   }
   std::printf("(%llu rows)\n",

@@ -73,7 +73,7 @@ Measurement MeasureHotProfiled(core::Backend* backend, core::QueryId id,
 // (one unmeasured warm-up, then averaged measured runs). rows_returned is
 // the binding-table row count. The three-argument form plans with the
 // statistics-free heuristic; pass PlannerOptions to measure a specific
-// planning mode (cost-based, heuristic, worst-order — the planner
+// planning mode (cost-based, heuristic, as-written — the planner
 // ablation compares exactly these).
 Measurement MeasureBgpHot(core::Backend* backend,
                           const std::vector<core::BgpPattern>& patterns,

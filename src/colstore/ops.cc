@@ -219,6 +219,21 @@ std::pair<uint32_t, uint32_t> EqRangeSorted(std::span<const uint64_t> col,
           static_cast<uint32_t>(hi - col.begin())};
 }
 
+size_t GallopLowerBound(std::span<const uint64_t> col, size_t from,
+                        uint64_t value) {
+  size_t lo = from;
+  size_t step = 1;
+  while (lo + step < col.size() && col[lo + step] < value) {
+    lo += step;
+    step *= 2;
+  }
+  const size_t hi = std::min(col.size(), lo + step + 1);
+  return static_cast<size_t>(
+      std::lower_bound(col.begin() + static_cast<ptrdiff_t>(lo),
+                       col.begin() + static_cast<ptrdiff_t>(hi), value) -
+      col.begin());
+}
+
 std::pair<uint32_t, uint32_t> EqRangeSorted2(
     std::span<const uint64_t> primary, std::span<const uint64_t> secondary,
     uint64_t v1, uint64_t v2) {

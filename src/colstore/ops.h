@@ -47,6 +47,12 @@ PositionVector SelectNe(std::span<const uint64_t> col,
 std::pair<uint32_t, uint32_t> EqRangeSorted(std::span<const uint64_t> col,
                                             uint64_t value);
 
+// The first index >= `from` with col[index] >= value, for a sorted column,
+// found by galloping forward from `from`: O(log distance), so a sorted key
+// batch merges against the column in one forward sweep.
+size_t GallopLowerBound(std::span<const uint64_t> col, size_t from,
+                        uint64_t value);
+
 // [lo, hi) of rows where (primary, secondary) == (v1, v2), for columns
 // sorted lexicographically by (primary, secondary).
 std::pair<uint32_t, uint32_t> EqRangeSorted2(std::span<const uint64_t> primary,

@@ -2,7 +2,9 @@
 #define SWANDB_CORE_BACKEND_H_
 
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "audit/audit.h"
@@ -52,6 +54,34 @@ class DistRouting {
                     const exec::ExecContext& ectx) = 0;
 };
 
+// The answer to Backend::MatchBatch, grouped by key: the matches of key i
+// are triples[offsets[i], offsets[i + 1]).
+struct MatchRuns {
+  std::vector<rdf::Triple> triples;
+  std::vector<size_t> offsets{0};
+
+  size_t keys() const { return offsets.size() - 1; }
+  std::span<const rdf::Triple> Run(size_t i) const {
+    return std::span<const rdf::Triple>(triples).subspan(
+        offsets[i], offsets[i + 1] - offsets[i]);
+  }
+  // Closes the run of the next key at the current end of `triples`.
+  void EndRun() { offsets.push_back(triples.size()); }
+};
+
+// `pattern` with `slot` set to `key`, or left free when key is
+// plan::kUnbound.
+rdf::TriplePattern WithSlot(rdf::TriplePattern pattern,
+                            rdf::TripleComponent slot, uint64_t key);
+
+// The value of `slot` in `t`.
+uint64_t SlotValue(const rdf::Triple& t, rdf::TripleComponent slot);
+
+// Regroups (key index, triple) hits, collected in scan order, into runs
+// for `keys` keys: a stable counting sort, so each run keeps scan order.
+MatchRuns GroupByKey(
+    size_t keys, const std::vector<std::pair<size_t, rdf::Triple>>& hits);
+
 // One point in the paper's evaluation grid: a storage scheme realized in
 // an engine architecture (e.g. "MonetDB / vertical SO" or "DBX / triple
 // PSO"). Each backend owns its own simulated disk and buffer pool, so
@@ -96,6 +126,19 @@ class Backend {
   std::vector<rdf::Triple> Match(const rdf::TriplePattern& pattern) const {
     return Match(pattern, exec::ExecContext());
   }
+
+  // Batched Match, the BGP interpreter's probe: one call answers a whole
+  // set of keys for one pattern slot. `keys` are sorted ascending and
+  // distinct; key i instantiates `slot` of `pattern` (whose own value in
+  // that slot is ignored), and plan::kUnbound — which sorts last — leaves
+  // the slot free. Run i of the result is exactly
+  // Match(pattern with slot = keys[i]): the same triples in the same
+  // canonical order. The default loops over Match; engines with sorted
+  // columns override it to answer the batch in one merge or one pass.
+  virtual MatchRuns MatchBatch(const rdf::TriplePattern& pattern,
+                               rdf::TripleComponent slot,
+                               std::span<const uint64_t> keys,
+                               const exec::ExecContext& ectx) const;
 
   // Access-path costs for the cost-based planner: how this backend's
   // physical design answers a Match call (clustering, subject access,

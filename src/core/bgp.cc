@@ -1,10 +1,15 @@
 #include "core/bgp.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
+#include "common/radix_sort.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/distributed.h"
@@ -13,25 +18,47 @@ namespace swan::core {
 
 namespace {
 
-// The binding table a branch builds up: one column per variable, in the
-// order the interpreter first binds them (the final remap to
+using rdf::TripleComponent;
+
+// The binding table a branch builds up, column by column: cols[c][r] is
+// variable vars[c] in row r. Columns appear in the order the interpreter
+// first binds their variables (the final alignment to
 // PhysicalPlan::all_vars restores textual order).
 struct Table {
   static constexpr size_t npos = static_cast<size_t>(-1);
 
   std::vector<std::string> vars;
   std::unordered_map<std::string, size_t> var_index;
-  std::vector<std::vector<uint64_t>> rows;
+  std::vector<std::vector<uint64_t>> cols;
+  size_t rows = 0;
 
   size_t Find(const std::string& v) const {
     const auto it = var_index.find(v);
     return it == var_index.end() ? npos : it->second;
   }
+  // Adds a column, unbound in every existing row.
   size_t AddVar(const std::string& v) {
     const size_t idx = vars.size();
     vars.push_back(v);
     var_index.emplace(v, idx);
+    cols.emplace_back(rows, kUnbound);
     return idx;
+  }
+  // Keeps, in order, the rows listed in `parent` (repeats allowed) in the
+  // first `width` columns; later columns are resized for the caller to
+  // fill.
+  void Gather(const std::vector<size_t>& parent, size_t width) {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      if (c >= width) {
+        cols[c].resize(parent.size());
+        continue;
+      }
+      std::vector<uint64_t> out(parent.size());
+      const uint64_t* in = cols[c].data();
+      for (size_t r = 0; r < parent.size(); ++r) out[r] = in[parent[r]];
+      cols[c] = std::move(out);
+    }
+    rows = parent.size();
   }
 };
 
@@ -61,6 +88,28 @@ std::string StepSpanName(const char* base, double est_out) {
          std::to_string(static_cast<long long>(std::llround(est_out)));
 }
 
+// A filter with its variables resolved to table columns; nullptr marks a
+// variable the table does not bind, so every comparison on it is an error.
+struct BoundFilter {
+  const plan::FilterExpr* expr = nullptr;
+  const uint64_t* lhs = nullptr;
+  std::vector<const uint64_t*> operands;  // per value; set for variables
+};
+
+BoundFilter BindFilter(const plan::FilterExpr& filter, const Table& table) {
+  auto column = [&](const std::string& var) -> const uint64_t* {
+    const size_t c = table.Find(var);
+    return c == Table::npos ? nullptr : table.cols[c].data();
+  };
+  BoundFilter bound;
+  bound.expr = &filter;
+  bound.lhs = column(filter.var);
+  for (const plan::FilterOperand& v : filter.values) {
+    bound.operands.push_back(v.is_var() ? column(v.var) : nullptr);
+  }
+  return bound;
+}
+
 // Evaluates filters against binding rows. Dictionary-id comparisons are
 // direct; numeric comparisons go through the plan's NumericResolver with
 // per-query memoization. SPARQL error semantics throughout: a comparison
@@ -71,19 +120,17 @@ class FilterEvaluator {
   explicit FilterEvaluator(const plan::NumericResolver& numeric)
       : numeric_(numeric) {}
 
-  bool Passes(const plan::FilterExpr& filter, const Table& table,
-              const std::vector<uint64_t>& row) {
-    const size_t lhs_col = table.Find(filter.var);
-    if (lhs_col == Table::npos || lhs_col >= row.size()) return false;
-    const uint64_t lhs = row[lhs_col];
+  bool Passes(const BoundFilter& bound, size_t row) {
+    const plan::FilterExpr& filter = *bound.expr;
+    if (bound.lhs == nullptr) return false;
+    const uint64_t lhs = bound.lhs[row];
     if (lhs == kUnbound) return false;
 
-    auto operand_id =
-        [&](const plan::FilterOperand& v) -> std::optional<uint64_t> {
+    auto operand_id = [&](size_t i) -> std::optional<uint64_t> {
+      const plan::FilterOperand& v = filter.values[i];
       if (!v.is_var()) return v.id;
-      const size_t c = table.Find(v.var);
-      if (c == Table::npos || c >= row.size()) return std::nullopt;
-      const uint64_t val = row[c];
+      if (bound.operands[i] == nullptr) return std::nullopt;
+      const uint64_t val = bound.operands[i][row];
       if (val == kUnbound) return std::nullopt;
       return val;
     };
@@ -93,10 +140,11 @@ class FilterEvaluator {
     // numeric operand against a non-numeric lhs) — then both `=` and
     // `!=` are false. An operand absent from the dictionary is a valid
     // term that simply equals nothing in the store.
-    auto equals = [&](const plan::FilterOperand& v, bool* defined) {
+    auto equals = [&](size_t i, bool* defined) {
+      const plan::FilterOperand& v = filter.values[i];
       *defined = true;
       if (v.is_var()) {
-        const auto rid = operand_id(v);
+        const auto rid = operand_id(i);
         if (!rid) {
           *defined = false;
           return false;
@@ -118,17 +166,17 @@ class FilterEvaluator {
     switch (filter.op) {
       case plan::FilterOp::kEq: {
         bool defined = false;
-        return equals(filter.values[0], &defined) && defined;
+        return equals(0, &defined) && defined;
       }
       case plan::FilterOp::kNe: {
         bool defined = false;
-        const bool eq = equals(filter.values[0], &defined);
+        const bool eq = equals(0, &defined);
         return defined && !eq;
       }
       case plan::FilterOp::kIn: {
-        for (const plan::FilterOperand& v : filter.values) {
+        for (size_t i = 0; i < filter.values.size(); ++i) {
           bool defined = false;
-          if (equals(v, &defined) && defined) return true;
+          if (equals(i, &defined) && defined) return true;
         }
         return false;
       }
@@ -142,7 +190,7 @@ class FilterEvaluator {
     const plan::FilterOperand& v = filter.values[0];
     std::optional<double> rn;
     if (v.is_var()) {
-      const auto rid = operand_id(v);
+      const auto rid = operand_id(0);
       if (rid) rn = NumberOf(*rid);
     } else if (v.number) {
       rn = v.number;
@@ -181,29 +229,34 @@ class FilterEvaluator {
 // Drops the rows failing any of `filters`, preserving row order.
 void ApplyFilters(const std::vector<plan::FilterExpr>& filters,
                   FilterEvaluator* eval, Table* table) {
-  if (filters.empty() || table->rows.empty()) return;
-  std::vector<std::vector<uint64_t>> kept;
-  kept.reserve(table->rows.size());
-  for (auto& row : table->rows) {
+  if (filters.empty() || table->rows == 0) return;
+  std::vector<BoundFilter> bound;
+  for (const plan::FilterExpr& f : filters) {
+    bound.push_back(BindFilter(f, *table));
+  }
+  std::vector<size_t> kept;
+  kept.reserve(table->rows);
+  for (size_t r = 0; r < table->rows; ++r) {
     bool ok = true;
-    for (const plan::FilterExpr& f : filters) {
-      if (!eval->Passes(f, *table, row)) {
+    for (const BoundFilter& f : bound) {
+      if (!eval->Passes(f, r)) {
         ok = false;
         break;
       }
     }
-    if (ok) kept.push_back(std::move(row));
+    if (ok) kept.push_back(r);
   }
-  table->rows = std::move(kept);
+  if (kept.size() != table->rows) table->Gather(kept, table->cols.size());
 }
 
-// Bindings per extension batch: one Match per binding dominates the work,
-// so small batches balance skewed fan-outs across lanes.
-constexpr uint64_t kBindingsPerBatch = 16;
-
 // Extends every binding row with the matches of one instantiated pattern
-// — the classic index-nested-loop step, unchanged by the planner refactor
-// (ordering decisions moved out; the mechanics stayed).
+// — an index-nested-loop join evaluated set-at-a-time. The rows' values in
+// the join slot (the first already-bound variable among subject, object
+// and property) form a sorted distinct key set, answered by
+// Backend::MatchBatch in key chunks; each row then gathers its key's run.
+// Rows and their order are exactly those of probing row by row with
+// Match. A pattern binding a second known variable splits the rows into
+// groups by that variable's values, one key set per group.
 void ExtendStep(const Backend& backend, const plan::PhysStep& step,
                 const exec::ExecContext& ectx, obs::Histogram* batch_hist,
                 Table* table) {
@@ -212,25 +265,32 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
   // run inside one ParallelFor region at every width, so their Match,
   // kernel and net.ship spans are suppressed and this span's counter
   // deltas account for them: the tree has one node per operator, not one
-  // per binding row.
+  // per key chunk.
   obs::Span extend_span(ectx.trace(), StepSpanName("bgp.extend", step.est_out));
-  extend_span.set_rows_in(table->rows.size());
+  extend_span.set_rows_in(table->rows);
+  const size_t n = table->rows;
   const size_t known_vars = table->vars.size();
-  const SlotRef s = ResolveTerm(pattern.subject, table);
-  const SlotRef p = ResolveTerm(pattern.property, table);
-  const SlotRef o = ResolveTerm(pattern.object, table);
-  const size_t out_width = table->vars.size();
+  constexpr std::array<TripleComponent, 3> kSlots = {
+      TripleComponent::kSubject, TripleComponent::kProperty,
+      TripleComponent::kObject};
+  const std::array<SlotRef, 3> ref = {ResolveTerm(pattern.subject, table),
+                                      ResolveTerm(pattern.property, table),
+                                      ResolveTerm(pattern.object, table)};
+  auto known = [&](size_t s) {
+    return ref[s].var_index && *ref[s].var_index < known_vars;
+  };
+  auto column = [&](size_t s) -> const std::vector<uint64_t>& {
+    return table->cols[*ref[s].var_index];
+  };
 
   // Forward ship leg for annotated scale-out steps: the binding table
   // (or its distinct-key semi-join filter) travels coordinator -> home
   // before the probes run there. Charged from actual row counts — the
   // estimates only picked the strategy. The result-return leg is charged
-  // per Match by the sharded backend, so it is not repeated here.
-  if (step.ship != plan::ShipMode::kLocal && step.home_node >= 0 &&
-      !table->rows.empty()) {
+  // by the sharded backend per key batch, so it is not repeated here.
+  if (step.ship != plan::ShipMode::kLocal && step.home_node >= 0 && n > 0) {
     if (DistRouting* dist = backend.dist()) {
       const int src = dist->Coordinator();
-      const uint64_t n = table->rows.size();
       if (step.ship == plan::ShipMode::kShipBindings) {
         const uint64_t width = std::max<size_t>(known_vars, 1);
         dist->Ship(src, step.home_node,
@@ -242,13 +302,10 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
         // The filter is the distinct values of the already-bound
         // variable terms this pattern joins on.
         std::vector<uint64_t> keys;
-        for (const SlotRef* ref : {&s, &p, &o}) {
-          if (!ref->var_index || *ref->var_index >= known_vars) continue;
-          for (const auto& row : table->rows) {
-            if (*ref->var_index < row.size() &&
-                row[*ref->var_index] != kUnbound) {
-              keys.push_back(row[*ref->var_index]);
-            }
+        for (size_t s = 0; s < 3; ++s) {
+          if (!known(s)) continue;
+          for (uint64_t v : column(s)) {
+            if (v != kUnbound) keys.push_back(v);
           }
         }
         std::sort(keys.begin(), keys.end());
@@ -260,106 +317,156 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
     }
   }
 
-  auto bound_value = [&](const SlotRef& ref, const std::vector<uint64_t>& row)
-      -> std::optional<uint64_t> {
-    if (!ref.var_index) return ref.const_id;
-    // A variable padded to kUnbound by an earlier OPTIONAL is free again
-    // (SPARQL compatible-binding semantics), as is one this pattern
-    // introduces.
-    if (*ref.var_index < row.size() && row[*ref.var_index] != kUnbound) {
-      return row[*ref.var_index];
-    }
-    return std::nullopt;
-  };
-
-  // Extends one binding row with every match of the instantiated
-  // pattern, appending the surviving extensions to *out in match order.
-  auto extend_row = [&](const std::vector<uint64_t>& row,
-                        std::vector<std::vector<uint64_t>>* out) {
-    rdf::TriplePattern tp;
-    tp.subject = bound_value(s, row);
-    tp.property = bound_value(p, row);
-    tp.object = bound_value(o, row);
-
-    ++ectx.counters().match_calls;
-    for (const rdf::Triple& t : backend.Match(tp, ectx)) {
-      // Extend the binding; enforce consistency for variables repeated
-      // *within* this pattern (e.g. (?x, p, ?x)).
-      std::vector<uint64_t> extended;
-      extended.reserve(out_width);
-      extended.assign(row.begin(), row.end());
-      extended.resize(out_width, 0);
-      // Bit k: fresh variable known_vars + k already bound by this match
-      // (a pattern introduces at most three).
-      unsigned set_now = 0;
-      bool consistent = true;
-      auto bind = [&](const SlotRef& ref, uint64_t value) {
-        if (!ref.var_index) return;
-        if (*ref.var_index < known_vars) {
-          // A known variable may still be unbound in this row (OPTIONAL
-          // padding): Match did not enforce it, so bind/check it here.
-          uint64_t& cell = extended[*ref.var_index];
-          if (cell == kUnbound) {
-            cell = value;
-          } else if (cell != value) {
-            consistent = false;
-          }
-          return;
-        }
-        const unsigned bit = 1u << (*ref.var_index - known_vars);
-        if ((set_now & bit) != 0 && extended[*ref.var_index] != value) {
-          consistent = false;
-          return;
-        }
-        extended[*ref.var_index] = value;
-        set_now |= bit;
-      };
-      bind(s, t.subject);
-      bind(p, t.property);
-      bind(o, t.object);
-      if (consistent) out->push_back(std::move(extended));
-    }
-  };
-
-  const uint64_t n = table->rows.size();
-  if (batch_hist != nullptr) {
-    // Observe the *logical* batch split (a function of n alone), not the
-    // executed one, so the distribution matches at every thread width.
-    if (n >= 2 * kBindingsPerBatch) {
-      for (uint64_t lo = 0; lo < n; lo += kBindingsPerBatch) {
-        batch_hist->Observe(std::min(n, lo + kBindingsPerBatch) - lo);
-      }
-    } else {
-      batch_hist->Observe(n);
+  // The join slot is keyed per batch; the other known slots (at most two)
+  // instantiate the pattern per group of rows sharing their values.
+  rdf::TriplePattern base;
+  for (size_t s = 0; s < 3; ++s) {
+    if (!ref[s].var_index) base = WithSlot(base, kSlots[s], ref[s].const_id);
+  }
+  int join = -1;
+  for (int s : {0, 2, 1}) {
+    if (known(static_cast<size_t>(s))) {
+      join = s;
+      break;
     }
   }
-  // One region at every width: a single batch when the context is serial
-  // or the table small. Order-preserving stitch: batch b covers a
-  // contiguous row range, and batch outputs concatenate in batch order —
-  // the exact serial extension sequence regardless of lane interleaving.
-  const uint64_t batches = ectx.parallel() && n >= 2 * kBindingsPerBatch
-                               ? (n + kBindingsPerBatch - 1) / kBindingsPerBatch
-                               : 1;
-  const uint64_t rows_per_batch = batches > 1 ? kBindingsPerBatch : n;
-  if (batches > 1) ectx.counters().bgp_batches += batches;
-  std::vector<std::vector<std::vector<uint64_t>>> batch_out(batches);
-  ectx.ParallelFor(batches, 1, [&](uint64_t b, uint64_t e, uint64_t) {
-    for (uint64_t batch = b; batch < e; ++batch) {
-      const uint64_t lo = batch * rows_per_batch;
-      const uint64_t hi = std::min<uint64_t>(n, lo + rows_per_batch);
-      for (uint64_t i = lo; i < hi; ++i) {
-        extend_row(table->rows[i], &batch_out[batch]);
+  std::vector<size_t> others;
+  for (size_t s = 0; s < 3; ++s) {
+    if (known(s) && static_cast<int>(s) != join) others.push_back(s);
+  }
+  std::vector<size_t> group_of(n, 0);
+  std::vector<std::array<uint64_t, 2>> group_vals(1, {kUnbound, kUnbound});
+  if (!others.empty()) {
+    group_vals.clear();
+    std::map<std::array<uint64_t, 2>, size_t> ids;
+    for (size_t r = 0; r < n; ++r) {
+      std::array<uint64_t, 2> v = {kUnbound, kUnbound};
+      for (size_t i = 0; i < others.size(); ++i) v[i] = column(others[i])[r];
+      const auto [it, fresh] = ids.try_emplace(v, group_vals.size());
+      if (fresh) group_vals.push_back(v);
+      group_of[r] = it->second;
+    }
+  }
+  const size_t groups = group_vals.size();
+
+  // Sorted distinct keys per group (kUnbound, from OPTIONAL padding, sorts
+  // last and leaves the slot free), and each row's run. Rows are walked in
+  // (group, key) order: as they stand when the join column is already
+  // sorted, as a subject-ordered scan leaves it, else after stable radix
+  // passes.
+  std::vector<std::vector<uint64_t>> group_keys(groups);
+  std::vector<size_t> group_base(groups, 0);
+  std::vector<size_t> run_of(n, 0);
+  size_t runs = 1;  // no join slot: every row shares one Match
+  if (join >= 0) {
+    const std::vector<uint64_t>& keys = column(static_cast<size_t>(join));
+    const bool sorted =
+        groups == 1 && std::is_sorted(keys.begin(), keys.end());
+    std::vector<std::pair<uint64_t, size_t>> order;  // (key, row)
+    if (!sorted) {
+      order.reserve(n);
+      for (size_t r = 0; r < n; ++r) order.emplace_back(keys[r], r);
+      RadixSortBy(&order, [](const auto& e) { return e.first; });
+      if (groups > 1) {
+        RadixSortBy(&order, [&](const auto& e) { return group_of[e.second]; });
+      }
+    }
+    runs = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t r = sorted ? i : order[i].second;
+      std::vector<uint64_t>& k = group_keys[group_of[r]];
+      if (k.empty()) group_base[group_of[r]] = runs;
+      if (k.empty() || k.back() != keys[r]) {
+        k.push_back(keys[r]);
+        ++runs;
+      }
+      run_of[r] = group_base[group_of[r]] + k.size() - 1;
+    }
+  }
+
+  // One MatchBatch call per key chunk: keys [lo, hi) of one group.
+  struct KeyChunk {
+    size_t group, lo, hi;
+  };
+  std::vector<KeyChunk> chunks;
+  for (size_t g = 0; g < groups; ++g) {
+    const uint64_t k = join >= 0 ? group_keys[g].size() : (n > 0 ? 1 : 0);
+    if (k == 0) continue;
+    const uint64_t count = KeyChunks(k);
+    for (uint64_t c = 0; c < count; ++c) {
+      chunks.push_back({g, k * c / count, k * (c + 1) / count});
+      if (batch_hist != nullptr) batch_hist->Observe(chunks.back().hi -
+                                                     chunks.back().lo);
+    }
+  }
+  if (ectx.parallel() && chunks.size() > 1) {
+    ectx.counters().bgp_batches += chunks.size();
+  }
+  // Counted as one probe per binding row, the logical work of the join.
+  ectx.counters().match_calls += n;
+
+  std::vector<MatchRuns> chunk_runs(chunks.size());
+  ectx.ParallelFor(chunks.size(), 1, [&](uint64_t b, uint64_t e, uint64_t) {
+    for (uint64_t c = b; c < e; ++c) {
+      const KeyChunk& chunk = chunks[c];
+      rdf::TriplePattern tp = base;
+      for (size_t i = 0; i < others.size(); ++i) {
+        tp = WithSlot(tp, kSlots[others[i]], group_vals[chunk.group][i]);
+      }
+      if (join < 0) {
+        chunk_runs[c].triples = backend.Match(tp, ectx);
+        chunk_runs[c].EndRun();
+      } else {
+        const std::vector<uint64_t>& k = group_keys[chunk.group];
+        chunk_runs[c] = backend.MatchBatch(
+            tp, kSlots[static_cast<size_t>(join)],
+            std::span<const uint64_t>(k).subspan(chunk.lo,
+                                                 chunk.hi - chunk.lo),
+            ectx);
       }
     }
   });
-  table->rows = std::move(batch_out[0]);
-  size_t total = table->rows.size();
-  for (uint64_t b = 1; b < batches; ++b) total += batch_out[b].size();
-  table->rows.reserve(total);
-  for (uint64_t b = 1; b < batches; ++b) {
-    for (auto& row : batch_out[b]) table->rows.push_back(std::move(row));
+  std::vector<std::span<const rdf::Triple>> run(runs);
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    const size_t first = group_base[chunks[c].group] + chunks[c].lo;
+    for (size_t i = 0; i < chunk_runs[c].keys(); ++i) {
+      run[first + i] = chunk_runs[c].Run(i);
+    }
   }
-  extend_span.set_rows_out(table->rows.size());
+
+  // Slots naming one variable twice (e.g. (?x, p, ?x)) must agree.
+  std::vector<std::pair<size_t, size_t>> repeated;
+  for (size_t a = 0; a < 3; ++a) {
+    for (size_t b = a + 1; b < 3; ++b) {
+      if (ref[a].var_index && ref[a].var_index == ref[b].var_index) {
+        repeated.emplace_back(a, b);
+      }
+    }
+  }
+  std::vector<size_t> parent;
+  std::vector<const rdf::Triple*> match;
+  for (size_t r = 0; r < n; ++r) {
+    for (const rdf::Triple& t : run[run_of[r]]) {
+      bool consistent = true;
+      for (const auto& [a, b] : repeated) {
+        consistent &= SlotValue(t, kSlots[a]) == SlotValue(t, kSlots[b]);
+      }
+      if (!consistent) continue;
+      parent.push_back(r);
+      match.push_back(&t);
+    }
+  }
+  // Known columns follow their parent row; every variable slot takes the
+  // match's value (equal to a bound value, or binding an unbound one).
+  table->Gather(parent, known_vars);
+  for (size_t s = 0; s < 3; ++s) {
+    if (!ref[s].var_index) continue;
+    uint64_t* out = table->cols[*ref[s].var_index].data();
+    for (size_t j = 0; j < match.size(); ++j) {
+      out[j] = SlotValue(*match[j], kSlots[s]);
+    }
+  }
+  extend_span.set_rows_out(table->rows);
 }
 
 // Same-subject star elimination: reads each arm's property partition once
@@ -371,7 +478,7 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
 void StarGatherStep(const Backend& backend, const plan::PhysStep& step,
                     const exec::ExecContext& ectx, Table* table) {
   obs::Span span(ectx.trace(), StepSpanName("bgp.star", step.est_out));
-  span.set_rows_in(table->rows.size());
+  span.set_rows_in(table->rows);
   ++ectx.counters().star_gathers;
 
   struct Arm {
@@ -397,55 +504,61 @@ void StarGatherStep(const Backend& backend, const plan::PhysStep& step,
   const std::string& subj_name = step.arms[0].subject.var;
   const size_t existing = table->Find(subj_name);
   const bool subj_bound = existing != Table::npos;
+  const size_t known_vars = table->vars.size();
   const size_t subj_col = subj_bound ? existing : table->AddVar(subj_name);
   for (size_t a = 0; a < step.arms.size(); ++a) {
     if (step.arms[a].object.is_var) {
       arms[a].out_col = table->AddVar(step.arms[a].object.var);
     }
   }
-  const size_t width = table->vars.size();
 
   // Emits the cross product of the arms' objects for one subject, earlier
   // arms varying slowest. Constant-object arms are presence checks only.
-  auto emit = [&](uint64_t subject, const std::vector<uint64_t>& base,
-                  std::vector<std::vector<uint64_t>>* out) {
+  std::vector<size_t> parent;
+  std::vector<uint64_t> subjects;
+  std::vector<std::vector<uint64_t>> objects(arms.size());
+  auto emit = [&](uint64_t subject, size_t row) {
     std::vector<const std::vector<uint64_t>*> lists;
-    std::vector<size_t> cols;
-    for (const Arm& arm : arms) {
-      const auto it = arm.by_subject.find(subject);
-      if (it == arm.by_subject.end()) return;  // subject misses this arm
-      if (arm.out_col) {
+    std::vector<size_t> arm_of;
+    for (size_t a = 0; a < arms.size(); ++a) {
+      const auto it = arms[a].by_subject.find(subject);
+      if (it == arms[a].by_subject.end()) return;  // subject misses an arm
+      if (arms[a].out_col) {
         lists.push_back(&it->second);
-        cols.push_back(*arm.out_col);
+        arm_of.push_back(a);
       }
     }
     uint64_t total = 1;
     for (const auto* l : lists) total *= l->size();
     for (uint64_t t = 0; t < total; ++t) {
-      std::vector<uint64_t> row = base;
-      row.resize(width, 0);
-      row[subj_col] = subject;
+      parent.push_back(row);
+      subjects.push_back(subject);
       uint64_t rem = t;
+      std::vector<uint64_t> picked(lists.size());
       for (size_t k = lists.size(); k-- > 0;) {
-        row[cols[k]] = (*lists[k])[rem % lists[k]->size()];
+        picked[k] = (*lists[k])[rem % lists[k]->size()];
         rem /= lists[k]->size();
       }
-      out->push_back(std::move(row));
+      for (size_t k = 0; k < lists.size(); ++k) {
+        objects[arm_of[k]].push_back(picked[k]);
+      }
     }
   };
 
-  std::vector<std::vector<uint64_t>> next_rows;
-  for (const auto& row : table->rows) {
+  for (size_t r = 0; r < table->rows; ++r) {
     if (subj_bound) {
-      if (subj_col < row.size() && row[subj_col] != kUnbound) {
-        emit(row[subj_col], row, &next_rows);
-      }
+      const uint64_t subject = table->cols[subj_col][r];
+      if (subject != kUnbound) emit(subject, r);
     } else {
-      for (uint64_t subject : subject_order) emit(subject, row, &next_rows);
+      for (uint64_t subject : subject_order) emit(subject, r);
     }
   }
-  table->rows = std::move(next_rows);
-  span.set_rows_out(table->rows.size());
+  table->Gather(parent, known_vars);
+  table->cols[subj_col] = std::move(subjects);
+  for (size_t a = 0; a < arms.size(); ++a) {
+    if (arms[a].out_col) table->cols[*arms[a].out_col] = std::move(objects[a]);
+  }
+  span.set_rows_out(table->rows);
 }
 
 // Runs a pipeline's steps (extensions and star gathers) plus their
@@ -460,7 +573,7 @@ void RunSteps(const Backend& backend, const std::vector<plan::PhysStep>& steps,
       StarGatherStep(backend, step, ectx, table);
     }
     ApplyFilters(step.filters, eval, table);
-    if (table->rows.empty()) break;
+    if (table->rows == 0) break;
   }
 }
 
@@ -472,23 +585,20 @@ void RunSteps(const Backend& backend, const std::vector<plan::PhysStep>& steps,
 void ApplyOptional(const Backend& backend, const plan::PhysPipeline& optional,
                    const exec::ExecContext& ectx, obs::Histogram* batch_hist,
                    FilterEvaluator* eval, Table* table) {
-  if (optional.always_empty || table->rows.empty()) {
+  if (optional.always_empty || table->rows == 0) {
     // Nothing to join; the fresh columns still exist, all-unbound.
     for (const std::string& v : optional.vars) {
       if (table->Find(v) == Table::npos) table->AddVar(v);
     }
-    for (auto& row : table->rows) row.resize(table->vars.size(), kUnbound);
     return;
   }
   obs::Span span(ectx.trace(), "bgp.optional");
-  span.set_rows_in(table->rows.size());
+  span.set_rows_in(table->rows);
 
   // Parser variables are alphanumeric, so "#src" cannot collide.
   Table work = *table;
   const size_t src_col = work.AddVar("#src");
-  for (size_t i = 0; i < work.rows.size(); ++i) {
-    work.rows[i].push_back(static_cast<uint64_t>(i));
-  }
+  std::iota(work.cols[src_col].begin(), work.cols[src_col].end(), 0);
   RunSteps(backend, optional.steps, ectx, batch_hist, eval, &work);
 
   std::vector<size_t> fresh_out, fresh_work;
@@ -498,50 +608,72 @@ void ApplyOptional(const Backend& backend, const plan::PhysPipeline& optional,
     fresh_out.push_back(out);
     fresh_work.push_back(work.Find(v));
   }
-  const size_t width = table->vars.size();
 
   // Extension steps are order-preserving, so the surviving work rows stay
-  // grouped in ascending provenance order: one forward merge pass.
-  std::vector<std::vector<uint64_t>> merged;
+  // grouped in ascending provenance order: one forward merge pass. Each
+  // output row comes from a work row (matched) or a table row (padded).
+  constexpr size_t kPadded = Table::npos;
+  std::vector<size_t> parent, from_work;
+  const std::vector<uint64_t>& src = work.cols[src_col];
   size_t next = 0;
-  for (size_t i = 0; i < table->rows.size(); ++i) {
-    bool any = false;
-    while (next < work.rows.size() && work.rows[next][src_col] == i) {
-      const std::vector<uint64_t>& wrow = work.rows[next];
-      std::vector<uint64_t> out(width, kUnbound);
-      // Required columns ride along in the work table (the optional may
-      // even have bound a previously-unbound one).
-      for (size_t c = 0; c < src_col; ++c) out[c] = wrow[c];
-      for (size_t k = 0; k < fresh_out.size(); ++k) {
-        out[fresh_out[k]] = fresh_work[k] == Table::npos
-                                ? kUnbound
-                                : wrow[fresh_work[k]];
-      }
-      merged.push_back(std::move(out));
-      any = true;
-      ++next;
+  for (size_t i = 0; i < table->rows; ++i) {
+    const size_t first = next;
+    while (next < work.rows && src[next] == i) {
+      parent.push_back(i);
+      from_work.push_back(next++);
     }
-    if (!any) {
-      std::vector<uint64_t> out = table->rows[i];
-      out.resize(width, kUnbound);
-      merged.push_back(std::move(out));
+    if (next == first) {
+      parent.push_back(i);
+      from_work.push_back(kPadded);
     }
   }
-  table->rows = std::move(merged);
-  span.set_rows_out(table->rows.size());
+  // Required columns ride along in the work table (the optional may even
+  // have bound a previously-unbound one); fresh columns take the work
+  // value, or stay unbound on padded rows.
+  table->Gather(parent, src_col);
+  for (size_t c = 0; c < src_col; ++c) {
+    for (size_t j = 0; j < parent.size(); ++j) {
+      if (from_work[j] != kPadded) table->cols[c][j] = work.cols[c][from_work[j]];
+    }
+  }
+  for (size_t c = src_col; c < table->cols.size(); ++c) {
+    std::fill(table->cols[c].begin(), table->cols[c].end(), kUnbound);
+  }
+  for (size_t k = 0; k < fresh_out.size(); ++k) {
+    std::vector<uint64_t>& out = table->cols[fresh_out[k]];
+    for (size_t j = 0; j < parent.size(); ++j) {
+      if (from_work[j] == kPadded) continue;
+      out[j] = fresh_work[k] == Table::npos
+                   ? kUnbound
+                   : work.cols[fresh_work[k]][from_work[j]];
+    }
+  }
+  span.set_rows_out(table->rows);
 }
 
 }  // namespace
 
-Result<BgpResult> ExecutePlan(const Backend& backend,
-                              const plan::PhysicalPlan& plan,
-                              const exec::ExecContext& ectx) {
-  BgpResult result;
-  result.vars = plan.all_vars;
+// A step's key set splits into KeyChunks(keys) contiguous chunks, a
+// function of the key count alone, so the calls (and a sharded store's
+// messages) are the same at every thread width. Chunks are the unit of
+// parallel work.
+uint64_t KeyChunks(uint64_t keys) {
+  constexpr uint64_t kKeysPerChunk = 16;
+  constexpr uint64_t kMaxKeyChunks = 8;
+  if (keys < 2 * kKeysPerChunk) return 1;
+  return std::min(kMaxKeyChunks, (keys + kKeysPerChunk - 1) / kKeysPerChunk);
+}
 
-  // Binding-batch size distribution across all extension steps. Batch
-  // sizes depend only on binding counts, never on the thread budget, so
-  // the histogram is width-invariant.
+Result<BgpColumns> ExecutePlanColumns(const Backend& backend,
+                                      const plan::PhysicalPlan& plan,
+                                      const exec::ExecContext& ectx) {
+  BgpColumns result;
+  result.vars = plan.all_vars;
+  result.cols.resize(plan.all_vars.size());
+
+  // Key-batch size distribution across all extension steps. Batch sizes
+  // depend only on key counts, never on the thread budget, so the
+  // histogram is width-invariant.
   obs::Histogram* batch_hist = nullptr;
   if (obs::TraceSession* session = ectx.trace()) {
     batch_hist = session->metrics().GetHistogram(
@@ -552,7 +684,7 @@ Result<BgpResult> ExecutePlan(const Backend& backend,
   for (const plan::PhysPipeline& branch : plan.branches) {
     if (branch.always_empty) continue;
     Table table;
-    table.rows.push_back({});  // one empty binding
+    table.rows = 1;  // one empty binding
     RunSteps(backend, branch.steps, ectx, batch_hist, &eval, &table);
     for (const plan::PhysPipeline& optional : branch.optionals) {
       ApplyOptional(backend, optional, ectx, batch_hist, &eval, &table);
@@ -560,16 +692,32 @@ Result<BgpResult> ExecutePlan(const Backend& backend,
     ApplyFilters(branch.post_filters, &eval, &table);
 
     // Align this branch's columns to the query-wide textual order.
-    std::vector<size_t> col(plan.all_vars.size(), Table::npos);
     for (size_t j = 0; j < plan.all_vars.size(); ++j) {
-      col[j] = table.Find(plan.all_vars[j]);
-    }
-    for (const auto& row : table.rows) {
-      std::vector<uint64_t> out(plan.all_vars.size(), kUnbound);
-      for (size_t j = 0; j < out.size(); ++j) {
-        if (col[j] != Table::npos && col[j] < row.size()) out[j] = row[col[j]];
+      const size_t c = table.Find(plan.all_vars[j]);
+      std::vector<uint64_t>& out = result.cols[j];
+      if (c == Table::npos) {
+        out.insert(out.end(), table.rows, kUnbound);
+      } else {
+        out.insert(out.end(), table.cols[c].begin(), table.cols[c].end());
       }
-      result.rows.push_back(std::move(out));
+    }
+    result.rows += table.rows;
+  }
+  return result;
+}
+
+Result<BgpResult> ExecutePlan(const Backend& backend,
+                              const plan::PhysicalPlan& plan,
+                              const exec::ExecContext& ectx) {
+  SWAN_ASSIGN_OR_RETURN(BgpColumns columns,
+                        ExecutePlanColumns(backend, plan, ectx));
+  BgpResult result;
+  result.vars = std::move(columns.vars);
+  result.rows.assign(columns.rows,
+                     std::vector<uint64_t>(result.vars.size(), kUnbound));
+  for (size_t j = 0; j < columns.cols.size(); ++j) {
+    for (size_t r = 0; r < columns.rows; ++r) {
+      result.rows[r][j] = columns.cols[j][r];
     }
   }
   return result;

@@ -40,21 +40,41 @@ struct BgpResult {
   std::vector<std::vector<uint64_t>> rows;
 };
 
+// The same binding table column by column, as the interpreter holds it:
+// cols[j] holds variable vars[j] for each of the `rows` rows.
+struct BgpColumns {
+  std::vector<std::string> vars;
+  std::vector<std::vector<uint64_t>> cols;
+  size_t rows = 0;
+};
+
 // Interprets a physical plan against `backend`. Each branch runs by
-// iterative binding extension (index-nested-loop at the logical level):
-// for every partial binding the step's pattern is instantiated and matched
-// through Backend::Match; star-gather steps instead read each arm's
-// property partition once and hash-join on the subject. Filters attached
-// to a step apply right after it; OPTIONAL pipelines left-join after the
-// required steps; branch results concatenate in branch order with columns
-// aligned to plan.all_vars.
+// binding extension over a columnar binding table, one batched probe per
+// step: the join variable's distinct values are answered by
+// Backend::MatchBatch in key chunks and every binding row gathers its
+// key's run, so rows come out exactly as probing each row with Match
+// would produce them. Star-gather steps instead read each arm's property
+// partition once and hash-join on the subject. Filters attached to a step
+// apply right after it; OPTIONAL pipelines left-join after the required
+// steps; branch results concatenate in branch order with columns aligned
+// to plan.all_vars.
 //
-// Under a parallel ExecContext the binding table of each extension step is
-// range-partitioned into batches whose extensions run concurrently (each
-// batch issues its own Match calls); batch outputs concatenate in batch
-// order, so the binding rows come out in exactly the serial sequence at
-// every thread count. ectx.counters() records match_calls, bgp_batches and
+// A step's key set splits into chunks by a function of the key count
+// alone; under a parallel ExecContext the chunks' MatchBatch calls run
+// concurrently and their runs are gathered in row order, so the binding
+// rows come out in exactly the serial sequence at every thread count.
+// ectx.counters() records match_calls (one per binding row probed, the
+// join's logical work), bgp_batches (key chunks of parallel steps) and
 // star_gathers.
+Result<BgpColumns> ExecutePlanColumns(const Backend& backend,
+                                      const plan::PhysicalPlan& plan,
+                                      const exec::ExecContext& ectx);
+
+// The number of MatchBatch calls an extension step makes for a set of
+// `keys` distinct join keys: one per chunk of at least 16 keys, at most 8.
+uint64_t KeyChunks(uint64_t keys);
+
+// ExecutePlanColumns as a row-major BgpResult.
 Result<BgpResult> ExecutePlan(const Backend& backend,
                               const plan::PhysicalPlan& plan,
                               const exec::ExecContext& ectx);

@@ -6,6 +6,7 @@
 
 #include "common/macros.h"
 #include "obs/trace.h"
+#include "plan/algebra.h"
 
 namespace swan::core {
 
@@ -27,6 +28,22 @@ using colstore::SelectEq;
 using colstore::SortDistinct;
 using colstore::SortedIntersect;
 using colstore::UnionDistinct;
+
+// Index of `value` in the sorted `keys`, or keys.size() when absent.
+size_t KeyIndex(std::span<const uint64_t> keys, uint64_t value) {
+  const auto it = std::lower_bound(keys.begin(), keys.end(), value);
+  return it != keys.end() && *it == value
+             ? static_cast<size_t>(it - keys.begin())
+             : keys.size();
+}
+
+// Splits a MatchBatch key set into whether it ends with the free key
+// (plan::kUnbound, which sorts last) and the bound keys before it.
+std::pair<bool, std::span<const uint64_t>> SplitFreeKey(
+    std::span<const uint64_t> keys) {
+  const bool free_key = !keys.empty() && keys.back() == plan::kUnbound;
+  return {free_key, keys.first(keys.size() - (free_key ? 1 : 0))};
+}
 
 // Morsel size for the triple store's fused column scans (matches the ops
 // kernels' chunking).
@@ -590,47 +607,39 @@ QueryResult ColTripleBackend::Run(QueryId id, const QueryContext& ctx,
   }
 }
 
+std::pair<uint32_t, uint32_t> ColTripleBackend::SortedRange(
+    const rdf::TriplePattern& pattern, rdf::TriplePattern* residual) const {
+  // Exploit the physical sort order for the leading bound component.
+  *residual = pattern;
+  if (pso_ && pattern.property) {
+    residual->property.reset();
+    if (pattern.subject) {
+      residual->subject.reset();
+      return table_->PrimarySecondaryRange(*pattern.property,
+                                           *pattern.subject);
+    }
+    return table_->PrimaryRange(*pattern.property);
+  }
+  if (!pso_ && pattern.subject) {
+    residual->subject.reset();
+    if (pattern.property) {
+      residual->property.reset();
+      return table_->PrimarySecondaryRange(*pattern.subject,
+                                           *pattern.property);
+    }
+    return table_->PrimaryRange(*pattern.subject);
+  }
+  return {0, static_cast<uint32_t>(table_->size())};
+}
+
 std::vector<rdf::Triple> ColTripleBackend::Match(
     const rdf::TriplePattern& pattern, const exec::ExecContext& ectx) const {
   // Suppressed automatically when Match runs inside a BGP worker lane.
   obs::Span span(ectx.trace(), "col_triple.match");
-  PositionVector sel;
-  bool have_sel = false;
-
-  // Exploit the physical sort order for the leading bound component.
-  rdf::TriplePattern residual = pattern;
-  if (pso_ && pattern.property) {
-    uint32_t lo = 0, hi = 0;
-    if (pattern.subject) {
-      std::tie(lo, hi) = table_->PrimarySecondaryRange(*pattern.property,
-                                                       *pattern.subject);
-      residual.subject.reset();
-    } else {
-      std::tie(lo, hi) = table_->PrimaryRange(*pattern.property);
-    }
-    residual.property.reset();
-    sel.resize(hi - lo);
-    std::iota(sel.begin(), sel.end(), lo);
-    have_sel = true;
-  } else if (!pso_ && pattern.subject) {
-    uint32_t lo = 0, hi = 0;
-    if (pattern.property) {
-      std::tie(lo, hi) = table_->PrimarySecondaryRange(*pattern.subject,
-                                                       *pattern.property);
-      residual.property.reset();
-    } else {
-      std::tie(lo, hi) = table_->PrimaryRange(*pattern.subject);
-    }
-    residual.subject.reset();
-    sel.resize(hi - lo);
-    std::iota(sel.begin(), sel.end(), lo);
-    have_sel = true;
-  }
-
-  if (!have_sel) {
-    sel.resize(table_->size());
-    std::iota(sel.begin(), sel.end(), 0);
-  }
+  rdf::TriplePattern residual;
+  const auto [lo, hi] = SortedRange(pattern, &residual);
+  PositionVector sel(hi - lo);
+  std::iota(sel.begin(), sel.end(), lo);
   if (residual.subject) {
     sel = SelectEq(table_->subjects(), sel, *residual.subject, ectx);
   }
@@ -657,6 +666,70 @@ std::vector<rdf::Triple> ColTripleBackend::Match(
   }
   span.set_rows_out(out.size());
   return out;
+}
+
+MatchRuns ColTripleBackend::MatchBatch(const rdf::TriplePattern& pattern,
+                                       rdf::TripleComponent slot,
+                                       std::span<const uint64_t> keys,
+                                       const exec::ExecContext& ectx) const {
+  const rdf::TriplePattern rest = WithSlot(pattern, slot, plan::kUnbound);
+  const bool subject_keys = slot == rdf::TripleComponent::kSubject;
+  // Property keys that lead the sort order (PSO) or follow a bound subject
+  // (SPO) are one range lookup each: Match's own access path.
+  if (slot == rdf::TripleComponent::kProperty && (pso_ || rest.subject)) {
+    return Backend::MatchBatch(pattern, slot, keys, ectx);
+  }
+  obs::Span span(ectx.trace(), "col_triple.match_batch");
+  span.set_rows_in(keys.size());
+  const auto [free_key, bound] = SplitFreeKey(keys);
+  const auto& subj = table_->subjects();
+  const auto& prop = table_->properties();
+  const auto& obj = table_->objects();
+  std::vector<std::pair<size_t, rdf::Triple>> hits;
+  auto visit = [&](size_t k, uint32_t i) {
+    const rdf::Triple t{subj[i], prop[i], obj[i]};
+    if (!rest.Matches(t)) return;
+    if (!tombstones_.empty() && tombstones_.count(t) != 0) return;
+    hits.emplace_back(k, t);
+  };
+  if (subject_keys && (!pso_ || rest.property)) {
+    // Subjects are sorted within the range (SPO: the whole table; PSO: the
+    // property's range): merge the sorted keys against them.
+    const auto [lo, hi] = pso_ ? table_->PrimaryRange(*rest.property)
+                               : std::pair<uint32_t, uint32_t>(
+                                     0, static_cast<uint32_t>(subj.size()));
+    const std::span<const uint64_t> run(subj.data() + lo, hi - lo);
+    size_t pos = 0;
+    for (size_t k = 0; k < bound.size(); ++k) {
+      pos = colstore::GallopLowerBound(run, pos, bound[k]);
+      for (; pos < run.size() && run[pos] == bound[k]; ++pos) {
+        visit(k, static_cast<uint32_t>(lo + pos));
+      }
+    }
+  } else {
+    // The keyed component is not sorted here: one pass over the range the
+    // rest of the pattern selects.
+    rdf::TriplePattern residual;
+    const auto [lo, hi] = SortedRange(rest, &residual);
+    for (uint32_t i = lo; i < hi; ++i) {
+      const size_t k = KeyIndex(bound, SlotValue({subj[i], prop[i], obj[i]},
+                                                 slot));
+      if (k < bound.size()) visit(k, i);
+    }
+  }
+  for (const rdf::Triple& t : delta_) {
+    if (!rest.Matches(t)) continue;
+    const size_t k = KeyIndex(bound, SlotValue(t, slot));
+    if (k < bound.size()) hits.emplace_back(k, t);
+  }
+  MatchRuns runs = GroupByKey(bound.size(), hits);
+  if (free_key) {
+    const std::vector<rdf::Triple> all = Match(rest, ectx);
+    runs.triples.insert(runs.triples.end(), all.begin(), all.end());
+    runs.EndRun();
+  }
+  span.set_rows_out(runs.triples.size());
+  return runs;
 }
 
 // ---------------------------------------------------------------------------
@@ -1169,6 +1242,72 @@ std::vector<rdf::Triple> ColVerticalBackend::Match(
   }
   span.set_rows_out(out.size());
   return out;
+}
+
+MatchRuns ColVerticalBackend::MatchBatch(const rdf::TriplePattern& pattern,
+                                         rdf::TripleComponent slot,
+                                         std::span<const uint64_t> keys,
+                                         const exec::ExecContext& ectx) const {
+  // Property keys pick partitions, which is already Match's access path.
+  if (slot == rdf::TripleComponent::kProperty) {
+    return Backend::MatchBatch(pattern, slot, keys, ectx);
+  }
+  obs::Span span(ectx.trace(), "col_vert.match_batch");
+  span.set_rows_in(keys.size());
+  const rdf::TriplePattern rest = WithSlot(pattern, slot, plan::kUnbound);
+  const auto [free_key, bound] = SplitFreeKey(keys);
+  std::vector<uint64_t> props;
+  if (!rest.property) {
+    props = table_->properties();
+  } else if (table_->HasPartition(*rest.property)) {
+    props.push_back(*rest.property);
+  }
+
+  // Hits in Match's order for every key: partition by partition, rows in
+  // partition order, then the delta scan.
+  std::vector<std::pair<size_t, rdf::Triple>> hits;
+  for (uint64_t p : props) {
+    const auto& subj = table_->Subjects(p);
+    const auto& obj = table_->Objects(p);
+    auto visit = [&](size_t k, uint32_t i) {
+      if (rest.object && obj[i] != *rest.object) return;
+      const rdf::Triple t{subj[i], p, obj[i]};
+      if (!tombstones_.empty() && tombstones_.count(t) != 0) return;
+      hits.emplace_back(k, t);
+    };
+    if (slot == rdf::TripleComponent::kSubject) {
+      // Merge the sorted keys against the sorted subject column.
+      size_t pos = 0;
+      for (size_t k = 0; k < bound.size(); ++k) {
+        pos = colstore::GallopLowerBound(subj, pos, bound[k]);
+        for (; pos < subj.size() && subj[pos] == bound[k]; ++pos) {
+          visit(k, static_cast<uint32_t>(pos));
+        }
+      }
+    } else {
+      // Object keys: one pass over the partition (or the bound subject's
+      // range of it).
+      uint32_t lo = 0, hi = static_cast<uint32_t>(subj.size());
+      if (rest.subject) std::tie(lo, hi) = table_->SubjectRange(p, *rest.subject);
+      for (uint32_t i = lo; i < hi; ++i) {
+        const size_t k = KeyIndex(bound, obj[i]);
+        if (k < bound.size()) visit(k, i);
+      }
+    }
+  }
+  for (const rdf::Triple& t : delta_set_) {
+    if (!rest.Matches(t)) continue;
+    const size_t k = KeyIndex(bound, SlotValue(t, slot));
+    if (k < bound.size()) hits.emplace_back(k, t);
+  }
+  MatchRuns runs = GroupByKey(bound.size(), hits);
+  if (free_key) {
+    const std::vector<rdf::Triple> all = Match(rest, ectx);
+    runs.triples.insert(runs.triples.end(), all.begin(), all.end());
+    runs.EndRun();
+  }
+  span.set_rows_out(runs.triples.size());
+  return runs;
 }
 
 }  // namespace swan::core

@@ -41,6 +41,10 @@ class ColTripleBackend : public BackendBase {
   std::vector<rdf::Triple> Match(
       const rdf::TriplePattern& pattern,
       const exec::ExecContext& ectx) const override;
+  MatchRuns MatchBatch(const rdf::TriplePattern& pattern,
+                       rdf::TripleComponent slot,
+                       std::span<const uint64_t> keys,
+                       const exec::ExecContext& ectx) const override;
   Status Insert(const rdf::Triple& triple) override;
   Status Delete(const rdf::Triple& triple) override;
   void DropCaches() override;
@@ -63,6 +67,10 @@ class ColTripleBackend : public BackendBase {
   audit::AuditReport Audit(audit::AuditLevel level) const override;
 
  private:
+  // Row range of the sort order that `pattern`'s leading bound components
+  // select; the components it did not consume are left in *residual.
+  std::pair<uint32_t, uint32_t> SortedRange(
+      const rdf::TriplePattern& pattern, rdf::TriplePattern* residual) const;
   colstore::PositionVector PropPositions(uint64_t property,
                                          const exec::ExecContext& ectx) const;
   // Sorted subjects of all triples matching (?, property, object).
@@ -131,6 +139,10 @@ class ColVerticalBackend : public BackendBase {
   std::vector<rdf::Triple> Match(
       const rdf::TriplePattern& pattern,
       const exec::ExecContext& ectx) const override;
+  MatchRuns MatchBatch(const rdf::TriplePattern& pattern,
+                       rdf::TripleComponent slot,
+                       std::span<const uint64_t> keys,
+                       const exec::ExecContext& ectx) const override;
   void DropCaches() override;
   uint64_t disk_bytes() const override { return table_->disk_bytes(); }
   // Exact encoded payload vs the 8-bytes-per-value logical image.

@@ -18,8 +18,6 @@ const char* ToString(PlanMode mode) {
       return "cost-based";
     case PlanMode::kHeuristic:
       return "heuristic";
-    case PlanMode::kWorstOrder:
-      return "worst-order";
     case PlanMode::kAsWritten:
       return "as-written";
   }
@@ -273,11 +271,11 @@ std::vector<size_t> CostOrder(const std::vector<BgpPattern>& patterns,
                               const std::vector<uint64_t>& pattern_masks,
                               uint64_t outer_mask, double est_in,
                               VarBits* vars, const StoreStats& stats,
-                              const AccessHints& hints, bool worst) {
+                              const AccessHints& hints) {
   const size_t n = patterns.size();
   const double rows0 = std::max(est_in, 0.0);
 
-  if (!worst && n >= 2 && n <= kDpLimit) {
+  if (n >= 2 && n <= kDpLimit) {
     const size_t full = (1ULL << n) - 1;
     std::vector<double> cost(full + 1, kInf), rows(full + 1, 0.0);
     std::vector<int> last(full + 1, -1);
@@ -314,15 +312,14 @@ std::vector<size_t> CostOrder(const std::vector<BgpPattern>& patterns,
   }
 
   // Greedy: repeatedly take the pattern with the smallest estimated
-  // output (ties: cheapest probe) — or the largest, for the adversarial
-  // worst-order baseline.
+  // output (ties: cheapest probe).
   std::vector<size_t> order;
   std::vector<bool> used(n, false);
   uint64_t bound = outer_mask;
   double r = rows0;
   for (size_t step = 0; step < n; ++step) {
     size_t best = 0;
-    double best_rows = worst ? -kInf : kInf;
+    double best_rows = kInf;
     double best_cost = best_rows;
     double best_fanout = 1.0;
     for (size_t i = 0; i < n; ++i) {
@@ -331,12 +328,8 @@ std::vector<size_t> CostOrder(const std::vector<BgpPattern>& patterns,
       const double rows_out = r * fanout;
       const double c =
           r * CallCost(patterns[i], bound, vars, fanout, stats, hints);
-      const bool better =
-          worst ? (rows_out > best_rows ||
-                   (rows_out == best_rows && c > best_cost))
-                : (rows_out < best_rows ||
-                   (rows_out == best_rows && c < best_cost));
-      if (better) {
+      if (rows_out < best_rows ||
+          (rows_out == best_rows && c < best_cost)) {
         best = i;
         best_rows = rows_out;
         best_cost = c;
@@ -436,12 +429,10 @@ PhysPipeline CompileGroup(const GroupSpec& group,
   }
   const bool cost_mode = opts.mode == PlanMode::kCostBased &&
                          opts.stats != nullptr && bitmaps_ok;
-  const bool worst_mode = opts.mode == PlanMode::kWorstOrder &&
-                          opts.stats != nullptr && bitmaps_ok;
   std::vector<size_t> order;
-  if (cost_mode || worst_mode) {
+  if (cost_mode) {
     order = CostOrder(group.patterns, masks, outer_mask, est_in, &vars,
-                      *opts.stats, opts.hints, worst_mode);
+                      *opts.stats, opts.hints);
   } else if (opts.mode == PlanMode::kAsWritten) {
     order.resize(group.patterns.size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -461,7 +452,7 @@ PhysPipeline CompileGroup(const GroupSpec& group,
 
   // Cardinality annotations along the chosen order.
   double rows = std::max(est_in, 0.0);
-  if (cost_mode || worst_mode) {
+  if (cost_mode) {
     uint64_t bound = outer_mask;
     for (size_t k = 0; k < out.steps.size(); ++k) {
       const size_t i = order[k];

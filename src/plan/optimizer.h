@@ -23,9 +23,6 @@ enum class PlanMode {
   // that predates the planner — the "hand-wired" order every cost-based
   // plan is gated against.
   kHeuristic,
-  // Adversarial baseline for bench/ablation_planner: greedily maximizes
-  // the intermediate cardinality. Never used outside ablations.
-  kWorstOrder,
   // Executes patterns exactly in textual order — the order the query was
   // written in. The "hand-wired" baseline the acceptance gate and the
   // planner ablation compare against; needs no statistics.

@@ -567,20 +567,21 @@ core::QueryResult ShardedBackend::RunQ8(const core::QueryContext& ctx,
   return result;
 }
 
+std::vector<int> ShardedBackend::NodesForPattern(
+    const rdf::TriplePattern& pattern) const {
+  if (!pattern.property) return AllNodes();
+  std::vector<int> nodes = NodesFor(*pattern.property);
+  if (nodes.size() > 1 && pattern.subject) {
+    // Sub-split property with a bound subject: one node holds it.
+    return {placement_.SubjectNode(*pattern.subject)};
+  }
+  return nodes;
+}
+
 std::vector<rdf::Triple> ShardedBackend::Match(
     const rdf::TriplePattern& pattern, const exec::ExecContext& ectx) const {
-  std::vector<int> nodes;
-  if (pattern.property) {
-    nodes = NodesFor(*pattern.property);
-    if (nodes.size() > 1 && pattern.subject) {
-      // Sub-split property with a bound subject: one node holds it.
-      nodes = {placement_.SubjectNode(*pattern.subject)};
-    }
-  } else {
-    nodes = AllNodes();
-  }
   std::vector<rdf::Triple> out;
-  for (int node : nodes) {
+  for (int node : NodesForPattern(pattern)) {
     std::vector<rdf::Triple> part =
         inner_[static_cast<size_t>(node)]->Match(pattern, ectx);
     // Result-return leg only; the request leg is the caller's (see the
@@ -589,6 +590,44 @@ std::vector<rdf::Triple> ShardedBackend::Match(
     out.insert(out.end(), part.begin(), part.end());
   }
   return out;
+}
+
+core::MatchRuns ShardedBackend::MatchBatch(const rdf::TriplePattern& pattern,
+                                           rdf::TripleComponent slot,
+                                           std::span<const uint64_t> keys,
+                                           const exec::ExecContext& ectx) const {
+  // Each key goes to the nodes Match would ask for it; every node answers
+  // its share of the batch in one call and one result message.
+  const size_t nodes = static_cast<size_t>(options_.nodes);
+  std::vector<std::vector<uint64_t>> node_keys(nodes);
+  std::vector<std::vector<size_t>> node_key_index(nodes);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    for (int node : NodesForPattern(core::WithSlot(pattern, slot, keys[k]))) {
+      node_keys[static_cast<size_t>(node)].push_back(keys[k]);
+      node_key_index[static_cast<size_t>(node)].push_back(k);
+    }
+  }
+  std::vector<core::MatchRuns> parts(nodes);
+  for (size_t node = 0; node < nodes; ++node) {
+    if (node_keys[node].empty()) continue;
+    parts[node] =
+        inner_[node]->MatchBatch(pattern, slot, node_keys[node], ectx);
+    Ship(static_cast<int>(node), coordinator_,
+         kBytesPerTriple * parts[node].triples.size(), 1, ectx);
+  }
+  // A key's run is its nodes' runs in node order, as Match concatenates.
+  core::MatchRuns runs;
+  std::vector<size_t> next(nodes, 0);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    for (size_t node = 0; node < nodes; ++node) {
+      const std::vector<size_t>& owned = node_key_index[node];
+      if (next[node] == owned.size() || owned[next[node]] != k) continue;
+      const auto run = parts[node].Run(next[node]++);
+      runs.triples.insert(runs.triples.end(), run.begin(), run.end());
+    }
+    runs.EndRun();
+  }
+  return runs;
 }
 
 Status ShardedBackend::Insert(const rdf::Triple& triple) {

@@ -2,6 +2,7 @@
 #define SWANDB_SHARD_SHARDED_BACKEND_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,8 +46,9 @@ struct ShardOptions {
 // through ordered maps, placement a pure function of the data — so the
 // serve tier's byte-identical replay guarantee survives distribution.
 //
-// Network accounting contract: Match charges only the result-return leg
-// (owner -> coordinator, 24 bytes/triple, one message per remote part).
+// Network accounting contract: Match and MatchBatch charge only the
+// result-return leg (owner -> coordinator, 24 bytes/triple, one message
+// per remote part: per call for Match, per key batch for MatchBatch).
 // The request/shipping leg — scattered bindings or a shipped semi-join
 // filter — belongs to the caller's discipline: Run's orchestration
 // charges it per phase, and the BGP interpreter charges it per annotated
@@ -66,6 +68,10 @@ class ShardedBackend : public core::Backend {
                         const exec::ExecContext& ectx) override;
   std::vector<rdf::Triple> Match(const rdf::TriplePattern& pattern,
                                  const exec::ExecContext& ectx) const override;
+  core::MatchRuns MatchBatch(const rdf::TriplePattern& pattern,
+                             rdf::TripleComponent slot,
+                             std::span<const uint64_t> keys,
+                             const exec::ExecContext& ectx) const override;
 
   plan::AccessHints PlannerHints() const override;
 
@@ -106,6 +112,8 @@ class ShardedBackend : public core::Backend {
   // Nodes that can hold triples of `property`: its home, or all when
   // sub-split.
   std::vector<int> NodesFor(uint64_t property) const;
+  // The nodes Match asks for `pattern`, ascending.
+  std::vector<int> NodesForPattern(const rdf::TriplePattern& pattern) const;
   // Charges a transfer on the modeled network (src == dst is free).
   void Ship(int src, int dst, uint64_t bytes, uint64_t messages,
             const exec::ExecContext& ectx) const;

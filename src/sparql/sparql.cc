@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -834,6 +835,17 @@ std::string CanonicalQueryText(std::string_view query) {
   return out;
 }
 
+std::vector<std::string> DecodeRow(const Row& row,
+                                   const rdf::Dataset& dataset) {
+  std::vector<std::string> text;
+  text.reserve(row.ids.size());
+  for (uint64_t id : row.ids) {
+    text.emplace_back(id == plan::kUnbound ? std::string_view()
+                                           : dataset.dict().Lookup(id));
+  }
+  return text;
+}
+
 Result<QueryOutput> Execute(const core::Backend& backend,
                             const rdf::Dataset& dataset,
                             std::string_view query) {
@@ -904,58 +916,50 @@ Result<QueryOutput> Execute(const core::Backend& backend,
   output.vars = projection;
   output.plan_note = physical.mode_note;
 
-  SWAN_ASSIGN_OR_RETURN(core::BgpResult bgp,
-                        core::ExecutePlan(backend, physical, ectx));
+  SWAN_ASSIGN_OR_RETURN(core::BgpColumns bgp,
+                        core::ExecutePlanColumns(backend, physical, ectx));
 
   // Binding columns are located by name against the result's variable
   // list (textual order, shared by every branch).
-  std::vector<size_t> column_of;
+  std::vector<const std::vector<uint64_t>*> columns;
   for (const std::string& var : projection) {
     const auto it = std::find(bgp.vars.begin(), bgp.vars.end(), var);
     SWAN_CHECK_MSG(it != bgp.vars.end(), "projected variable lost by BGP");
-    column_of.push_back(static_cast<size_t>(it - bgp.vars.begin()));
+    columns.push_back(&bgp.cols[static_cast<size_t>(it - bgp.vars.begin())]);
   }
 
-  // Project, optionally deduplicate, apply OFFSET/LIMIT, decode.
+  // Project, optionally deduplicate, apply OFFSET/LIMIT: rows are picked
+  // by index from the columns, and only the survivors are materialized.
   obs::Span project_span(ectx.trace(), "sparql.project");
-  project_span.set_rows_in(bgp.rows.size());
-  std::vector<std::vector<uint64_t>> projected;
-  projected.reserve(bgp.rows.size());
-  for (const auto& row : bgp.rows) {
-    std::vector<uint64_t> out_row;
-    out_row.reserve(column_of.size());
-    for (size_t c : column_of) out_row.push_back(row[c]);
-    projected.push_back(std::move(out_row));
-  }
+  project_span.set_rows_in(bgp.rows);
+  std::vector<size_t> picked(bgp.rows);
+  std::iota(picked.begin(), picked.end(), 0);
   if (parsed.distinct) {
-    std::sort(projected.begin(), projected.end());
-    projected.erase(std::unique(projected.begin(), projected.end()),
-                    projected.end());
-  }
-  if (parsed.offset) {
-    if (*parsed.offset >= projected.size()) {
-      projected.clear();
-    } else {
-      projected.erase(projected.begin(),
-                      projected.begin() +
-                          static_cast<ptrdiff_t>(*parsed.offset));
-    }
-  }
-  if (parsed.limit && projected.size() > *parsed.limit) {
-    projected.resize(*parsed.limit);
-  }
-  for (const auto& ids : projected) {
-    Row row;
-    row.ids = ids;
-    for (uint64_t id : ids) {
-      // kUnbound (an OPTIONAL with no match) decodes to the empty string.
-      if (id == plan::kUnbound) {
-        row.text.emplace_back();
-      } else {
-        row.text.emplace_back(dataset.dict().Lookup(id));
+    // Lexicographic order of the projected tuples; equal tuples collapse.
+    auto compare = [&](size_t a, size_t b) {
+      for (const auto* col : columns) {
+        if ((*col)[a] != (*col)[b]) return (*col)[a] < (*col)[b] ? -1 : 1;
       }
-    }
-    output.rows.push_back(std::move(row));
+      return 0;
+    };
+    std::sort(picked.begin(), picked.end(),
+              [&](size_t a, size_t b) { return compare(a, b) < 0; });
+    picked.erase(std::unique(picked.begin(), picked.end(),
+                             [&](size_t a, size_t b) {
+                               return compare(a, b) == 0;
+                             }),
+                 picked.end());
+  }
+  const size_t first =
+      std::min<uint64_t>(parsed.offset.value_or(0), picked.size());
+  const size_t last =
+      parsed.limit ? std::min<uint64_t>(first + *parsed.limit, picked.size())
+                   : picked.size();
+  output.rows.resize(last - first);
+  for (size_t i = first; i < last; ++i) {
+    std::vector<uint64_t>& ids = output.rows[i - first].ids;
+    ids.reserve(columns.size());
+    for (const auto* col : columns) ids.push_back((*col)[picked[i]]);
   }
   project_span.set_rows_out(output.rows.size());
   return output;

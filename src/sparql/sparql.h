@@ -126,9 +126,12 @@ std::vector<core::BgpPattern> Bind(const ParsedQuery& parsed,
 // --- Execution ------------------------------------------------------------
 
 struct Row {
-  std::vector<uint64_t> ids;      // dictionary ids, aligned with vars
-  std::vector<std::string> text;  // decoded terms, aligned with vars
+  std::vector<uint64_t> ids;  // dictionary ids, aligned with vars
 };
+
+// A row's terms decoded through the dataset's dictionary, for printing;
+// kUnbound (an OPTIONAL with no match) decodes to the empty string.
+std::vector<std::string> DecodeRow(const Row& row, const rdf::Dataset& dataset);
 
 struct QueryOutput {
   std::vector<std::string> vars;

@@ -15,12 +15,15 @@
 #include "bench_support/query_bgps.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "core/bgp.h"
+#include "core/profiling.h"
 #include "core/reference_backend.h"
 #include "core/store.h"
 #include "net/network_model.h"
 #include "net/topology.h"
 #include "shard/placement.h"
 #include "shard/sharded_backend.h"
+#include "sparql/sparql.h"
 
 namespace swan {
 namespace {
@@ -226,6 +229,66 @@ TEST(ScaleoutStoreTest, StoreFacadeOpensShardedColumnStore) {
     core::QueryResult got_rows{got.value().vars, got.value().rows};
     EXPECT_TRUE(expected_rows.SameRows(got_rows)) << bgp.name;
   }
+}
+
+// Set-at-a-time extension on a sharded store: each extension step sends
+// one key batch per node per key chunk instead of one message per binding
+// row, and the rows stay those of one node.
+TEST(ScaleoutStoreTest, BatchedExtensionSendsOneMessagePerNodePerChunk) {
+  BartonConfig config;
+  config.target_triples = 100000;
+  const auto barton = GenerateBarton(config);
+  const std::string all =
+      "SELECT ?s ?t WHERE { ?s <type> <Text> . ?s <language> ?t }";
+  const std::string query = all + " LIMIT 3";
+
+  core::StoreOptions single;
+  auto one_node = core::RdfStore::Open(barton.dataset, single);
+  core::StoreOptions scaled = single;
+  scaled.nodes = 4;
+  auto four_nodes = core::RdfStore::Open(barton.dataset, scaled);
+
+  const exec::ExecContext ectx(1);
+  auto rows_of = [&](const core::RdfStore& store, const std::string& text) {
+    auto out = sparql::Execute(store.backend(), barton.dataset, text, ectx,
+                               &store.stats());
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    std::vector<std::vector<uint64_t>> rows;
+    for (const auto& row : out.value().rows) rows.push_back(row.ids);
+    return rows;
+  };
+  // Node order decides which rows come first, so across node counts the
+  // full answers agree as bags and LIMIT keeps the 4-node answer's head.
+  auto expected = rows_of(*one_node, all);
+  auto full = rows_of(*four_nodes, all);
+  ASSERT_GE(full.size(), 3u);
+  const std::vector<std::vector<uint64_t>> head(full.begin(),
+                                                full.begin() + 3);
+  std::sort(expected.begin(), expected.end());
+  std::sort(full.begin(), full.end());
+  EXPECT_EQ(full, expected);
+
+  core::ScopedProfile profile("query", four_nodes->backend(), ectx);
+  const auto limited = rows_of(*four_nodes, query);
+  const std::shared_ptr<obs::TraceSession> session = profile.Finish();
+  EXPECT_EQ(limited, head);
+
+  // Every extension step: at most one message per node per key chunk
+  // (the chunk count of rows_in keys bounds that of the distinct keys),
+  // plus the step's one forward key batch.
+  size_t steps = 0;
+  std::vector<const obs::SpanNode*> stack = {&session->root()};
+  while (!stack.empty()) {
+    const obs::SpanNode* node = stack.back();
+    stack.pop_back();
+    for (const auto& child : node->children) stack.push_back(child.get());
+    if (node->name.rfind("bgp.extend", 0) != 0) continue;
+    ++steps;
+    EXPECT_LE(node->net_messages(),
+              scaled.nodes * core::KeyChunks(node->rows_in) + 1)
+        << node->name << " rows_in " << node->rows_in;
+  }
+  EXPECT_GE(steps, 1u);
 }
 
 TEST(ScaleoutStoreTest, WritesRouteToOwningNode) {

@@ -28,6 +28,11 @@ class SparqlTest : public ::testing::Test {
     return Execute(*backend_, data_, query);
   }
 
+  // Cell `i` of `row`, decoded to its term text.
+  std::string Text(const Row& row, size_t i) const {
+    return DecodeRow(row, data_)[i];
+  }
+
   rdf::Dataset data_;
   std::unique_ptr<core::ColVerticalBackend> backend_;
 };
@@ -108,7 +113,7 @@ TEST_F(SparqlTest, FilterComparesNumericLiterals) {
       "SELECT ?who WHERE { ?who ex:age ?a . FILTER(?a < 30) }");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result.value().rows.size(), 1u);
-  EXPECT_EQ(result.value().rows[0].text[0], "<http://ex.org/carol>");
+  EXPECT_EQ(Text(result.value().rows[0], 0), "<http://ex.org/carol>");
 }
 
 TEST_F(SparqlTest, FilterNotEqualsAndIn) {
@@ -117,13 +122,13 @@ TEST_F(SparqlTest, FilterNotEqualsAndIn) {
       "SELECT ?x WHERE { ?x ex:knows ?y . FILTER(?y != ex:bob) }");
   ASSERT_TRUE(ne.ok()) << ne.status().ToString();
   ASSERT_EQ(ne.value().rows.size(), 1u);
-  EXPECT_EQ(ne.value().rows[0].text[0], "<http://ex.org/bob>");
+  EXPECT_EQ(Text(ne.value().rows[0], 0), "<http://ex.org/bob>");
   auto in = Run(
       "PREFIX ex: <http://ex.org/>\n"
       "SELECT ?x WHERE { ?x ex:age ?v . FILTER(?v IN (\"25\")) }");
   ASSERT_TRUE(in.ok()) << in.status().ToString();
   ASSERT_EQ(in.value().rows.size(), 1u);
-  EXPECT_EQ(in.value().rows[0].text[0], "<http://ex.org/carol>");
+  EXPECT_EQ(Text(in.value().rows[0], 0), "<http://ex.org/carol>");
 }
 
 TEST_F(SparqlTest, FilterAgainstUnknownTermIsNotAnError) {
@@ -153,10 +158,10 @@ TEST_F(SparqlTest, OptionalPadsNonMatchesWithEmptyBinding) {
   ASSERT_EQ(result.value().rows.size(), 3u);  // alice, bob, dave
   size_t padded = 0;
   for (const auto& row : result.value().rows) {
-    if (row.text[1].empty()) {
+    if (Text(row, 1).empty()) {
       ++padded;
       EXPECT_EQ(row.ids[1], plan::kUnbound);
-      EXPECT_EQ(row.text[0], "<http://ex.org/dave>");
+      EXPECT_EQ(Text(row, 0), "<http://ex.org/dave>");
     }
   }
   EXPECT_EQ(padded, 1u);
@@ -170,7 +175,7 @@ TEST_F(SparqlTest, UnionConcatenatesBranches) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result.value().rows.size(), 2u);
   std::vector<std::string> names;
-  for (const auto& row : result.value().rows) names.push_back(row.text[0]);
+  for (const auto& row : result.value().rows) names.push_back(Text(row, 0));
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, (std::vector<std::string>{"<http://ex.org/bob>",
                                              "<http://ex.org/carol>"}));
@@ -238,7 +243,7 @@ TEST_F(SparqlTest, ExecutesSingleTriplePattern) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result.value().rows.size(), 2u);
   std::vector<std::string> names;
-  for (const auto& row : result.value().rows) names.push_back(row.text[0]);
+  for (const auto& row : result.value().rows) names.push_back(Text(row, 0));
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, (std::vector<std::string>{"<http://ex.org/alice>",
                                              "<http://ex.org/bob>"}));
@@ -250,8 +255,8 @@ TEST_F(SparqlTest, ExecutesJoin) {
       "SELECT ?a ?c WHERE { ?a ex:knows ?b . ?b ex:knows ?c . }");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result.value().rows.size(), 1u);
-  EXPECT_EQ(result.value().rows[0].text[0], "<http://ex.org/alice>");
-  EXPECT_EQ(result.value().rows[0].text[1], "<http://ex.org/carol>");
+  EXPECT_EQ(Text(result.value().rows[0], 0), "<http://ex.org/alice>");
+  EXPECT_EQ(Text(result.value().rows[0], 1), "<http://ex.org/carol>");
 }
 
 TEST_F(SparqlTest, DistinctDeduplicates) {

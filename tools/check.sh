@@ -157,9 +157,8 @@ if [ "$run_asan" -eq 1 ]; then
   fi
 
   echo "== planner smoke (plan modes must agree; planner must not lose) =="
-  # Small scale: the adversarial worst-order mode is quadratic in the
-  # dataset and the ASan build multiplies that; 8k triples still runs all
-  # four modes over the full backend grid.
+  # Small scale: the ASan build multiplies the bench's cost; 8k triples
+  # still runs all three modes over the full backend grid.
   if SWAN_TRIPLES=8000 "$ASAN_BUILD/bench/ablation_planner" >/dev/null; then
     echo "planner smoke: clean"
   else

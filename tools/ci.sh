@@ -67,6 +67,22 @@ case "$mode" in
       grep -Eq '^ +bgp\.extend' "$RELEASE_DIR/explain-smoke-profile.txt" &&
       ! grep -Eq '^ +[^ ]*\.match ' "$RELEASE_DIR/explain-smoke-profile.txt" &&
       echo "explain analyze size smoke: OK"; } || status=1
+    # The same read on 4 nodes at 100k triples: each of its 2 extension
+    # steps sends at most one key batch per node per key chunk (at most 8
+    # chunks), so the root's network messages stay within nodes x steps x
+    # 8. Probing row by row sent one message per binding row (3,463).
+    { rm -f "$RELEASE_DIR/explain-nodes.jsonl" &&
+      "$RELEASE_DIR/tools/swandb_shell" --generate 100000 --nodes 4 \
+        --querylog="$RELEASE_DIR/explain-nodes.jsonl" \
+        --query 'explain analyze SELECT ?s ?t WHERE { ?s <type> <Text> . ?s <language> ?t } LIMIT 3' \
+        >/dev/null &&
+      messages=$(grep -o '"net_messages":[0-9]*' \
+                   "$RELEASE_DIR/explain-nodes.jsonl" | head -n 1 |
+                 cut -d: -f2) &&
+      [ -n "$messages" ] && [ "$messages" -le $((4 * 2 * 8)) ] &&
+      echo "explain analyze nodes smoke: OK ($messages messages)"; } ||
+      { echo "explain analyze nodes smoke: FAILED (${messages:-?} messages)";
+        status=1; }
     # Serve smoke: a multi-session script through the concurrent query
     # service; the per-session Chrome trace must validate.
     echo "=== release: serve smoke ==="

@@ -450,7 +450,7 @@ int RunQuery(swan::core::RdfStore& store,
   }
   std::printf("\n");
   for (const auto& row : result.value().rows) {
-    for (const auto& text_cell : row.text) {
+    for (const auto& text_cell : swan::sparql::DecodeRow(row, dataset)) {
       std::printf("%-28s", text_cell.c_str());
     }
     std::printf("\n");
