@@ -8,7 +8,9 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 
+#include "colstore/ops.h"
 #include "common/radix_sort.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -471,10 +473,13 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
 
 // Same-subject star elimination: reads each arm's property partition once
 // (one Match per arm, instead of one per binding row per arm) and joins
-// the arms on the subject. Row order stays deterministic — existing rows
-// are walked in order, and fresh subjects follow the first arm's match
-// order — so results are bit-identical to the probing plan's set at any
-// thread width.
+// the arms on the subject. Each arm's matches are held as (subject,
+// object) columns ordered by subject — stably, so a subject's objects keep
+// their match order — and the binding rows look their subject up in every
+// arm, galloping forward while the rows' subjects ascend. Row order stays
+// deterministic — existing rows are walked in order, and fresh subjects
+// follow the first arm's match order — so results are bit-identical to the
+// probing plan's set at any thread width.
 void StarGatherStep(const Backend& backend, const plan::PhysStep& step,
                     const exec::ExecContext& ectx, Table* table) {
   obs::Span span(ectx.trace(), StepSpanName("bgp.star", step.est_out));
@@ -483,9 +488,24 @@ void StarGatherStep(const Backend& backend, const plan::PhysStep& step,
 
   struct Arm {
     std::optional<size_t> out_col;  // set when the object is a variable
-    std::unordered_map<uint64_t, std::vector<uint64_t>> by_subject;
+    std::vector<uint64_t> subjects;  // ascending
+    std::vector<uint64_t> objects;
+    size_t cursor = 0;
+
+    // The [lo, hi) rows of `subject`.
+    std::pair<size_t, size_t> Find(uint64_t subject) {
+      if (cursor > 0 && subjects[cursor - 1] >= subject) cursor = 0;
+      size_t lo = colstore::GallopLowerBound(subjects, cursor, subject);
+      size_t hi = lo;
+      while (hi < subjects.size() && subjects[hi] == subject) ++hi;
+      cursor = lo;
+      return {lo, hi};
+    }
   };
   std::vector<Arm> arms(step.arms.size());
+  const std::string& subj_name = step.arms[0].subject.var;
+  const size_t existing = table->Find(subj_name);
+  const bool subj_bound = existing != Table::npos;
   std::vector<uint64_t> subject_order;  // first-occurrence order in arm 0
 
   for (size_t a = 0; a < step.arms.size(); ++a) {
@@ -494,16 +514,20 @@ void StarGatherStep(const Backend& backend, const plan::PhysStep& step,
     tp.property = p.property.id;
     if (!p.object.is_var) tp.object = p.object.id;
     ++ectx.counters().match_calls;
-    for (const rdf::Triple& t : backend.Match(tp, ectx)) {
-      auto [it, fresh] = arms[a].by_subject.try_emplace(t.subject);
-      if (fresh && a == 0) subject_order.push_back(t.subject);
-      it->second.push_back(t.object);
+    std::vector<rdf::Triple> matches = backend.Match(tp, ectx);
+    if (a == 0 && !subj_bound) {
+      std::unordered_set<uint64_t> seen;
+      for (const rdf::Triple& t : matches) {
+        if (seen.insert(t.subject).second) subject_order.push_back(t.subject);
+      }
+    }
+    RadixSortBy(&matches, [](const rdf::Triple& t) { return t.subject; });
+    for (const rdf::Triple& t : matches) {
+      arms[a].subjects.push_back(t.subject);
+      arms[a].objects.push_back(t.object);
     }
   }
 
-  const std::string& subj_name = step.arms[0].subject.var;
-  const size_t existing = table->Find(subj_name);
-  const bool subj_bound = existing != Table::npos;
   const size_t known_vars = table->vars.size();
   const size_t subj_col = subj_bound ? existing : table->AddVar(subj_name);
   for (size_t a = 0; a < step.arms.size(); ++a) {
@@ -517,30 +541,23 @@ void StarGatherStep(const Backend& backend, const plan::PhysStep& step,
   std::vector<size_t> parent;
   std::vector<uint64_t> subjects;
   std::vector<std::vector<uint64_t>> objects(arms.size());
+  std::vector<std::pair<size_t, size_t>> range(arms.size());
   auto emit = [&](uint64_t subject, size_t row) {
-    std::vector<const std::vector<uint64_t>*> lists;
-    std::vector<size_t> arm_of;
-    for (size_t a = 0; a < arms.size(); ++a) {
-      const auto it = arms[a].by_subject.find(subject);
-      if (it == arms[a].by_subject.end()) return;  // subject misses an arm
-      if (arms[a].out_col) {
-        lists.push_back(&it->second);
-        arm_of.push_back(a);
-      }
-    }
     uint64_t total = 1;
-    for (const auto* l : lists) total *= l->size();
+    for (size_t a = 0; a < arms.size(); ++a) {
+      range[a] = arms[a].Find(subject);
+      if (range[a].first == range[a].second) return;  // misses this arm
+      if (arms[a].out_col) total *= range[a].second - range[a].first;
+    }
     for (uint64_t t = 0; t < total; ++t) {
       parent.push_back(row);
       subjects.push_back(subject);
       uint64_t rem = t;
-      std::vector<uint64_t> picked(lists.size());
-      for (size_t k = lists.size(); k-- > 0;) {
-        picked[k] = (*lists[k])[rem % lists[k]->size()];
-        rem /= lists[k]->size();
-      }
-      for (size_t k = 0; k < lists.size(); ++k) {
-        objects[arm_of[k]].push_back(picked[k]);
+      for (size_t a = arms.size(); a-- > 0;) {
+        if (!arms[a].out_col) continue;
+        const uint64_t size = range[a].second - range[a].first;
+        objects[a].push_back(arms[a].objects[range[a].first + rem % size]);
+        rem /= size;
       }
     }
   };
@@ -633,7 +650,9 @@ void ApplyOptional(const Backend& backend, const plan::PhysPipeline& optional,
   table->Gather(parent, src_col);
   for (size_t c = 0; c < src_col; ++c) {
     for (size_t j = 0; j < parent.size(); ++j) {
-      if (from_work[j] != kPadded) table->cols[c][j] = work.cols[c][from_work[j]];
+      if (from_work[j] != kPadded) {
+        table->cols[c][j] = work.cols[c][from_work[j]];
+      }
     }
   }
   for (size_t c = src_col; c < table->cols.size(); ++c) {

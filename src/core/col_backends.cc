@@ -1288,7 +1288,9 @@ MatchRuns ColVerticalBackend::MatchBatch(const rdf::TriplePattern& pattern,
       // Object keys: one pass over the partition (or the bound subject's
       // range of it).
       uint32_t lo = 0, hi = static_cast<uint32_t>(subj.size());
-      if (rest.subject) std::tie(lo, hi) = table_->SubjectRange(p, *rest.subject);
+      if (rest.subject) {
+        std::tie(lo, hi) = table_->SubjectRange(p, *rest.subject);
+      }
       for (uint32_t i = lo; i < hi; ++i) {
         const size_t k = KeyIndex(bound, obj[i]);
         if (k < bound.size()) visit(k, i);

@@ -592,10 +592,9 @@ std::vector<rdf::Triple> ShardedBackend::Match(
   return out;
 }
 
-core::MatchRuns ShardedBackend::MatchBatch(const rdf::TriplePattern& pattern,
-                                           rdf::TripleComponent slot,
-                                           std::span<const uint64_t> keys,
-                                           const exec::ExecContext& ectx) const {
+core::MatchRuns ShardedBackend::MatchBatch(
+    const rdf::TriplePattern& pattern, rdf::TripleComponent slot,
+    std::span<const uint64_t> keys, const exec::ExecContext& ectx) const {
   // Each key goes to the nodes Match would ask for it; every node answers
   // its share of the batch in one call and one result message.
   const size_t nodes = static_cast<size_t>(options_.nodes);

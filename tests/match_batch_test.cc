@@ -110,8 +110,17 @@ class MatchBatchTest : public ::testing::TestWithParam<BackendCase> {
     for (int i = 0; i < 40; ++i) {
       const rdf::Triple& a = triples[rng.Uniform(triples.size())];
       const rdf::Triple& b = triples[rng.Uniform(triples.size())];
-      (void)backend_->Insert({a.subject, b.property, b.object});
-      (void)backend_->Delete(triples[rng.Uniform(triples.size())]);
+      const Status inserted =
+          backend_->Insert({a.subject, b.property, b.object});
+      EXPECT_TRUE(inserted.ok() ||
+                  inserted.code() == StatusCode::kAlreadyExists ||
+                  inserted.code() == StatusCode::kUnimplemented)
+          << inserted.ToString();
+      const Status deleted =
+          backend_->Delete(triples[rng.Uniform(triples.size())]);
+      EXPECT_TRUE(deleted.ok() || deleted.code() == StatusCode::kNotFound ||
+                  deleted.code() == StatusCode::kUnimplemented)
+          << deleted.ToString();
     }
   }
 
