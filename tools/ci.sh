@@ -131,7 +131,7 @@ print('bench json smoke: OK')
     echo "=== release: codec smoke ==="
     SWAN_TRIPLES=40000 "$RELEASE_DIR/bench/ablation_compression" \
       >/dev/null || status=1
-    # Planner smoke: the planner ablation equivalence-gates all four plan
+    # Planner smoke: the planner ablation equivalence-gates all three plan
     # modes on q1-q8 across the backend grid and exits non-zero if the
     # cost-based plan ever loses to the hand-wired order.
     echo "=== release: planner smoke ==="
