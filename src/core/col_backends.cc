@@ -45,6 +45,30 @@ std::pair<bool, std::span<const uint64_t>> SplitFreeKey(
   return {free_key, keys.first(keys.size() - (free_key ? 1 : 0))};
 }
 
+// Completes a column store's MatchBatch from the base-column `hits`
+// (collected per key in Match's order): the unmerged inserts in `delta`
+// follow the base rows of their key, as Match scans them last, and a
+// trailing free key is answered by `backend`'s Match.
+template <typename Delta>
+MatchRuns FinishBatch(const Backend& backend, const rdf::TriplePattern& rest,
+                      rdf::TripleComponent slot, bool free_key,
+                      std::span<const uint64_t> bound, const Delta& delta,
+                      std::vector<std::pair<size_t, rdf::Triple>>* hits,
+                      const exec::ExecContext& ectx) {
+  for (const rdf::Triple& t : delta) {
+    if (!rest.Matches(t)) continue;
+    const size_t k = KeyIndex(bound, SlotValue(t, slot));
+    if (k < bound.size()) hits->emplace_back(k, t);
+  }
+  MatchRuns runs = GroupByKey(bound.size(), *hits);
+  if (free_key) {
+    const std::vector<rdf::Triple> all = backend.Match(rest, ectx);
+    runs.triples.insert(runs.triples.end(), all.begin(), all.end());
+    runs.EndRun();
+  }
+  return runs;
+}
+
 // Morsel size for the triple store's fused column scans (matches the ops
 // kernels' chunking).
 constexpr uint64_t kScanMorsel = 1ull << 16;
@@ -717,17 +741,8 @@ MatchRuns ColTripleBackend::MatchBatch(const rdf::TriplePattern& pattern,
       if (k < bound.size()) visit(k, i);
     }
   }
-  for (const rdf::Triple& t : delta_) {
-    if (!rest.Matches(t)) continue;
-    const size_t k = KeyIndex(bound, SlotValue(t, slot));
-    if (k < bound.size()) hits.emplace_back(k, t);
-  }
-  MatchRuns runs = GroupByKey(bound.size(), hits);
-  if (free_key) {
-    const std::vector<rdf::Triple> all = Match(rest, ectx);
-    runs.triples.insert(runs.triples.end(), all.begin(), all.end());
-    runs.EndRun();
-  }
+  MatchRuns runs = FinishBatch(*this, rest, slot, free_key, bound, delta_,
+                               &hits, ectx);
   span.set_rows_out(runs.triples.size());
   return runs;
 }
@@ -1264,7 +1279,7 @@ MatchRuns ColVerticalBackend::MatchBatch(const rdf::TriplePattern& pattern,
   }
 
   // Hits in Match's order for every key: partition by partition, rows in
-  // partition order, then the delta scan.
+  // partition order.
   std::vector<std::pair<size_t, rdf::Triple>> hits;
   for (uint64_t p : props) {
     const auto& subj = table_->Subjects(p);
@@ -1297,17 +1312,8 @@ MatchRuns ColVerticalBackend::MatchBatch(const rdf::TriplePattern& pattern,
       }
     }
   }
-  for (const rdf::Triple& t : delta_set_) {
-    if (!rest.Matches(t)) continue;
-    const size_t k = KeyIndex(bound, SlotValue(t, slot));
-    if (k < bound.size()) hits.emplace_back(k, t);
-  }
-  MatchRuns runs = GroupByKey(bound.size(), hits);
-  if (free_key) {
-    const std::vector<rdf::Triple> all = Match(rest, ectx);
-    runs.triples.insert(runs.triples.end(), all.begin(), all.end());
-    runs.EndRun();
-  }
+  MatchRuns runs = FinishBatch(*this, rest, slot, free_key, bound,
+                               delta_set_, &hits, ectx);
   span.set_rows_out(runs.triples.size());
   return runs;
 }

@@ -952,9 +952,9 @@ Result<QueryOutput> Execute(const core::Backend& backend,
   }
   const size_t first =
       std::min<uint64_t>(parsed.offset.value_or(0), picked.size());
-  const size_t last =
-      parsed.limit ? std::min<uint64_t>(first + *parsed.limit, picked.size())
-                   : picked.size();
+  const size_t last = parsed.limit && *parsed.limit < picked.size() - first
+                          ? first + *parsed.limit
+                          : picked.size();
   output.rows.resize(last - first);
   for (size_t i = first; i < last; ++i) {
     std::vector<uint64_t>& ids = output.rows[i - first].ids;

@@ -191,6 +191,11 @@ TEST_F(SparqlTest, OffsetSkipsRows) {
   auto past_end = Run("SELECT * WHERE { ?s ?p ?o } OFFSET 100");
   ASSERT_TRUE(past_end.ok());
   EXPECT_TRUE(past_end.value().rows.empty());
+  // A LIMIT at the top of the id range keeps every row after the offset.
+  auto huge = Run(
+      "SELECT * WHERE { ?s ?p ?o } OFFSET 1 LIMIT 18446744073709551615");
+  ASSERT_TRUE(huge.ok()) << huge.status().ToString();
+  EXPECT_EQ(huge.value().rows.size(), all.value().rows.size() - 1);
 }
 
 TEST_F(SparqlTest, ResultVarsFollowTextualOrder) {
