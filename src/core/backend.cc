@@ -34,18 +34,6 @@ uint64_t SlotValue(const rdf::Triple& t, rdf::TripleComponent slot) {
   return t.object;
 }
 
-MatchRuns GroupByKey(
-    size_t keys, const std::vector<std::pair<size_t, rdf::Triple>>& hits) {
-  MatchRuns runs;
-  runs.offsets.assign(keys + 1, 0);
-  for (const auto& hit : hits) ++runs.offsets[hit.first + 1];
-  for (size_t k = 0; k < keys; ++k) runs.offsets[k + 1] += runs.offsets[k];
-  std::vector<size_t> next(runs.offsets.begin(), runs.offsets.end() - 1);
-  runs.triples.resize(hits.size());
-  for (const auto& [key, triple] : hits) runs.triples[next[key]++] = triple;
-  return runs;
-}
-
 MatchRuns Backend::MatchBatch(const rdf::TriplePattern& pattern,
                               rdf::TripleComponent slot,
                               std::span<const uint64_t> keys,

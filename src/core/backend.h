@@ -77,11 +77,6 @@ rdf::TriplePattern WithSlot(rdf::TriplePattern pattern,
 // The value of `slot` in `t`.
 uint64_t SlotValue(const rdf::Triple& t, rdf::TripleComponent slot);
 
-// Regroups (key index, triple) hits, collected in scan order, into runs
-// for `keys` keys: a stable counting sort, so each run keeps scan order.
-MatchRuns GroupByKey(
-    size_t keys, const std::vector<std::pair<size_t, rdf::Triple>>& hits);
-
 // One point in the paper's evaluation grid: a storage scheme realized in
 // an engine architecture (e.g. "MonetDB / vertical SO" or "DBX / triple
 // PSO"). Each backend owns its own simulated disk and buffer pool, so
@@ -133,8 +128,9 @@ class Backend {
   // that slot is ignored), and plan::kUnbound — which sorts last — leaves
   // the slot free. Run i of the result is exactly
   // Match(pattern with slot = keys[i]): the same triples in the same
-  // canonical order. The default loops over Match; engines with sorted
-  // columns override it to answer the batch in one merge or one pass.
+  // canonical order. The default loops over Match. The column vertical
+  // store overrides it to answer the batch in one merge or one pass, and
+  // the sharded store to send each node one batch.
   virtual MatchRuns MatchBatch(const rdf::TriplePattern& pattern,
                                rdf::TripleComponent slot,
                                std::span<const uint64_t> keys,

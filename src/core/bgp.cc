@@ -690,9 +690,10 @@ Result<BgpColumns> ExecutePlanColumns(const Backend& backend,
   result.vars = plan.all_vars;
   result.cols.resize(plan.all_vars.size());
 
-  // Key-batch size distribution across all extension steps. Batch sizes
-  // depend only on key counts, never on the thread budget, so the
-  // histogram is width-invariant.
+  // Key-chunk size distribution across all extension steps: despite its
+  // name, "bgp.batch_rows" observes the distinct keys of each MatchBatch
+  // key chunk, not binding rows. Chunk sizes depend only on key counts,
+  // never on the thread budget, so the histogram is width-invariant.
   obs::Histogram* batch_hist = nullptr;
   if (obs::TraceSession* session = ectx.trace()) {
     batch_hist = session->metrics().GetHistogram(

@@ -54,10 +54,10 @@ struct BgpColumns {
 // Backend::MatchBatch in key chunks and every binding row gathers its
 // key's run, so rows come out exactly as probing each row with Match
 // would produce them. Star-gather steps instead read each arm's property
-// partition once and hash-join on the subject. Filters attached to a step
-// apply right after it; OPTIONAL pipelines left-join after the required
-// steps; branch results concatenate in branch order with columns aligned
-// to plan.all_vars.
+// partition once, order it by subject and gallop each row's subject along
+// it. Filters attached to a step apply right after it; OPTIONAL pipelines
+// left-join after the required steps; branch results concatenate in
+// branch order with columns aligned to plan.all_vars.
 //
 // A step's key set splits into chunks by a function of the key count
 // alone; under a parallel ExecContext the chunks' MatchBatch calls run

@@ -37,35 +37,17 @@ size_t KeyIndex(std::span<const uint64_t> keys, uint64_t value) {
              : keys.size();
 }
 
-// Splits a MatchBatch key set into whether it ends with the free key
-// (plan::kUnbound, which sorts last) and the bound keys before it.
-std::pair<bool, std::span<const uint64_t>> SplitFreeKey(
-    std::span<const uint64_t> keys) {
-  const bool free_key = !keys.empty() && keys.back() == plan::kUnbound;
-  return {free_key, keys.first(keys.size() - (free_key ? 1 : 0))};
-}
-
-// Completes a column store's MatchBatch from the base-column `hits`
-// (collected per key in Match's order): the unmerged inserts in `delta`
-// follow the base rows of their key, as Match scans them last, and a
-// trailing free key is answered by `backend`'s Match.
-template <typename Delta>
-MatchRuns FinishBatch(const Backend& backend, const rdf::TriplePattern& rest,
-                      rdf::TripleComponent slot, bool free_key,
-                      std::span<const uint64_t> bound, const Delta& delta,
-                      std::vector<std::pair<size_t, rdf::Triple>>* hits,
-                      const exec::ExecContext& ectx) {
-  for (const rdf::Triple& t : delta) {
-    if (!rest.Matches(t)) continue;
-    const size_t k = KeyIndex(bound, SlotValue(t, slot));
-    if (k < bound.size()) hits->emplace_back(k, t);
-  }
-  MatchRuns runs = GroupByKey(bound.size(), *hits);
-  if (free_key) {
-    const std::vector<rdf::Triple> all = backend.Match(rest, ectx);
-    runs.triples.insert(runs.triples.end(), all.begin(), all.end());
-    runs.EndRun();
-  }
+// Regroups (key index, triple) hits, collected in scan order, into runs
+// for `keys` keys: a stable counting sort, so each run keeps scan order.
+MatchRuns GroupByKey(
+    size_t keys, const std::vector<std::pair<size_t, rdf::Triple>>& hits) {
+  MatchRuns runs;
+  runs.offsets.assign(keys + 1, 0);
+  for (const auto& hit : hits) ++runs.offsets[hit.first + 1];
+  for (size_t k = 0; k < keys; ++k) runs.offsets[k + 1] += runs.offsets[k];
+  std::vector<size_t> next(runs.offsets.begin(), runs.offsets.end() - 1);
+  runs.triples.resize(hits.size());
+  for (const auto& [key, triple] : hits) runs.triples[next[key]++] = triple;
   return runs;
 }
 
@@ -631,39 +613,47 @@ QueryResult ColTripleBackend::Run(QueryId id, const QueryContext& ctx,
   }
 }
 
-std::pair<uint32_t, uint32_t> ColTripleBackend::SortedRange(
-    const rdf::TriplePattern& pattern, rdf::TriplePattern* residual) const {
-  // Exploit the physical sort order for the leading bound component.
-  *residual = pattern;
-  if (pso_ && pattern.property) {
-    residual->property.reset();
-    if (pattern.subject) {
-      residual->subject.reset();
-      return table_->PrimarySecondaryRange(*pattern.property,
-                                           *pattern.subject);
-    }
-    return table_->PrimaryRange(*pattern.property);
-  }
-  if (!pso_ && pattern.subject) {
-    residual->subject.reset();
-    if (pattern.property) {
-      residual->property.reset();
-      return table_->PrimarySecondaryRange(*pattern.subject,
-                                           *pattern.property);
-    }
-    return table_->PrimaryRange(*pattern.subject);
-  }
-  return {0, static_cast<uint32_t>(table_->size())};
-}
-
 std::vector<rdf::Triple> ColTripleBackend::Match(
     const rdf::TriplePattern& pattern, const exec::ExecContext& ectx) const {
   // Suppressed automatically when Match runs inside a BGP worker lane.
   obs::Span span(ectx.trace(), "col_triple.match");
-  rdf::TriplePattern residual;
-  const auto [lo, hi] = SortedRange(pattern, &residual);
-  PositionVector sel(hi - lo);
-  std::iota(sel.begin(), sel.end(), lo);
+  PositionVector sel;
+  bool have_sel = false;
+
+  // Exploit the physical sort order for the leading bound component.
+  rdf::TriplePattern residual = pattern;
+  if (pso_ && pattern.property) {
+    uint32_t lo = 0, hi = 0;
+    if (pattern.subject) {
+      std::tie(lo, hi) = table_->PrimarySecondaryRange(*pattern.property,
+                                                       *pattern.subject);
+      residual.subject.reset();
+    } else {
+      std::tie(lo, hi) = table_->PrimaryRange(*pattern.property);
+    }
+    residual.property.reset();
+    sel.resize(hi - lo);
+    std::iota(sel.begin(), sel.end(), lo);
+    have_sel = true;
+  } else if (!pso_ && pattern.subject) {
+    uint32_t lo = 0, hi = 0;
+    if (pattern.property) {
+      std::tie(lo, hi) = table_->PrimarySecondaryRange(*pattern.subject,
+                                                       *pattern.property);
+      residual.property.reset();
+    } else {
+      std::tie(lo, hi) = table_->PrimaryRange(*pattern.subject);
+    }
+    residual.subject.reset();
+    sel.resize(hi - lo);
+    std::iota(sel.begin(), sel.end(), lo);
+    have_sel = true;
+  }
+
+  if (!have_sel) {
+    sel.resize(table_->size());
+    std::iota(sel.begin(), sel.end(), 0);
+  }
   if (residual.subject) {
     sel = SelectEq(table_->subjects(), sel, *residual.subject, ectx);
   }
@@ -690,61 +680,6 @@ std::vector<rdf::Triple> ColTripleBackend::Match(
   }
   span.set_rows_out(out.size());
   return out;
-}
-
-MatchRuns ColTripleBackend::MatchBatch(const rdf::TriplePattern& pattern,
-                                       rdf::TripleComponent slot,
-                                       std::span<const uint64_t> keys,
-                                       const exec::ExecContext& ectx) const {
-  const rdf::TriplePattern rest = WithSlot(pattern, slot, plan::kUnbound);
-  const bool subject_keys = slot == rdf::TripleComponent::kSubject;
-  // Property keys that lead the sort order (PSO) or follow a bound subject
-  // (SPO) are one range lookup each: Match's own access path.
-  if (slot == rdf::TripleComponent::kProperty && (pso_ || rest.subject)) {
-    return Backend::MatchBatch(pattern, slot, keys, ectx);
-  }
-  obs::Span span(ectx.trace(), "col_triple.match_batch");
-  span.set_rows_in(keys.size());
-  const auto [free_key, bound] = SplitFreeKey(keys);
-  const auto& subj = table_->subjects();
-  const auto& prop = table_->properties();
-  const auto& obj = table_->objects();
-  std::vector<std::pair<size_t, rdf::Triple>> hits;
-  auto visit = [&](size_t k, uint32_t i) {
-    const rdf::Triple t{subj[i], prop[i], obj[i]};
-    if (!rest.Matches(t)) return;
-    if (!tombstones_.empty() && tombstones_.count(t) != 0) return;
-    hits.emplace_back(k, t);
-  };
-  if (subject_keys && (!pso_ || rest.property)) {
-    // Subjects are sorted within the range (SPO: the whole table; PSO: the
-    // property's range): merge the sorted keys against them.
-    const auto [lo, hi] = pso_ ? table_->PrimaryRange(*rest.property)
-                               : std::pair<uint32_t, uint32_t>(
-                                     0, static_cast<uint32_t>(subj.size()));
-    const std::span<const uint64_t> run(subj.data() + lo, hi - lo);
-    size_t pos = 0;
-    for (size_t k = 0; k < bound.size(); ++k) {
-      pos = colstore::GallopLowerBound(run, pos, bound[k]);
-      for (; pos < run.size() && run[pos] == bound[k]; ++pos) {
-        visit(k, static_cast<uint32_t>(lo + pos));
-      }
-    }
-  } else {
-    // The keyed component is not sorted here: one pass over the range the
-    // rest of the pattern selects.
-    rdf::TriplePattern residual;
-    const auto [lo, hi] = SortedRange(rest, &residual);
-    for (uint32_t i = lo; i < hi; ++i) {
-      const size_t k = KeyIndex(bound, SlotValue({subj[i], prop[i], obj[i]},
-                                                 slot));
-      if (k < bound.size()) visit(k, i);
-    }
-  }
-  MatchRuns runs = FinishBatch(*this, rest, slot, free_key, bound, delta_,
-                               &hits, ectx);
-  span.set_rows_out(runs.triples.size());
-  return runs;
 }
 
 // ---------------------------------------------------------------------------
@@ -1270,7 +1205,10 @@ MatchRuns ColVerticalBackend::MatchBatch(const rdf::TriplePattern& pattern,
   obs::Span span(ectx.trace(), "col_vert.match_batch");
   span.set_rows_in(keys.size());
   const rdf::TriplePattern rest = WithSlot(pattern, slot, plan::kUnbound);
-  const auto [free_key, bound] = SplitFreeKey(keys);
+  // The free key (plan::kUnbound) sorts last; the bound keys precede it.
+  const bool free_key = !keys.empty() && keys.back() == plan::kUnbound;
+  const std::span<const uint64_t> bound =
+      keys.first(keys.size() - (free_key ? 1 : 0));
   std::vector<uint64_t> props;
   if (!rest.property) {
     props = table_->properties();
@@ -1312,8 +1250,19 @@ MatchRuns ColVerticalBackend::MatchBatch(const rdf::TriplePattern& pattern,
       }
     }
   }
-  MatchRuns runs = FinishBatch(*this, rest, slot, free_key, bound,
-                               delta_set_, &hits, ectx);
+  // Unmerged inserts follow the base rows of their key, as Match scans
+  // them last; the free key is Match's own answer.
+  for (const rdf::Triple& t : delta_set_) {
+    if (!rest.Matches(t)) continue;
+    const size_t k = KeyIndex(bound, SlotValue(t, slot));
+    if (k < bound.size()) hits.emplace_back(k, t);
+  }
+  MatchRuns runs = GroupByKey(bound.size(), hits);
+  if (free_key) {
+    const std::vector<rdf::Triple> all = Match(rest, ectx);
+    runs.triples.insert(runs.triples.end(), all.begin(), all.end());
+    runs.EndRun();
+  }
   span.set_rows_out(runs.triples.size());
   return runs;
 }

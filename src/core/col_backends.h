@@ -41,10 +41,6 @@ class ColTripleBackend : public BackendBase {
   std::vector<rdf::Triple> Match(
       const rdf::TriplePattern& pattern,
       const exec::ExecContext& ectx) const override;
-  MatchRuns MatchBatch(const rdf::TriplePattern& pattern,
-                       rdf::TripleComponent slot,
-                       std::span<const uint64_t> keys,
-                       const exec::ExecContext& ectx) const override;
   Status Insert(const rdf::Triple& triple) override;
   Status Delete(const rdf::Triple& triple) override;
   void DropCaches() override;
@@ -67,10 +63,6 @@ class ColTripleBackend : public BackendBase {
   audit::AuditReport Audit(audit::AuditLevel level) const override;
 
  private:
-  // Row range of the sort order that `pattern`'s leading bound components
-  // select; the components it did not consume are left in *residual.
-  std::pair<uint32_t, uint32_t> SortedRange(
-      const rdf::TriplePattern& pattern, rdf::TriplePattern* residual) const;
   colstore::PositionVector PropPositions(uint64_t property,
                                          const exec::ExecContext& ectx) const;
   // Sorted subjects of all triples matching (?, property, object).

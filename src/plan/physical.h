@@ -45,8 +45,9 @@ enum class StepKind {
   kExtend,
   // Self-join elimination for a same-subject star: all arms share one
   // subject variable and a constant property, so instead of probing once
-  // per binding per arm, each arm's partition is gathered whole and the
-  // arms are hash-joined on the subject (match_calls: one per arm).
+  // per binding per arm, each arm's partition is gathered whole, ordered
+  // by subject, and each binding row's subject is looked up in it by
+  // galloping (match_calls: one per arm).
   kStarGather,
 };
 

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -233,7 +235,8 @@ TEST(ScaleoutStoreTest, StoreFacadeOpensShardedColumnStore) {
 
 // Set-at-a-time extension on a sharded store: each extension step sends
 // one key batch per node per key chunk instead of one message per binding
-// row, and the rows stay those of one node.
+// row. The full answer is the same bag of rows as one node's; the order
+// follows the nodes, so LIMIT is checked against the 4-node answer's head.
 TEST(ScaleoutStoreTest, BatchedExtensionSendsOneMessagePerNodePerChunk) {
   BartonConfig config;
   config.target_triples = 100000;
@@ -289,6 +292,70 @@ TEST(ScaleoutStoreTest, BatchedExtensionSendsOneMessagePerNodePerChunk) {
         << node->name << " rows_in " << node->rows_in;
   }
   EXPECT_GE(steps, 1u);
+}
+
+// A step that binds a second known variable groups its rows by that
+// variable's values and makes one MatchBatch per key chunk of each group,
+// so the nodes x chunks bound above holds per group, not per step. Here
+// the cost-based plan extends (?s <type> <Text>), then (?s ?p ?t), then
+// (?s <language> ?t) with ?s and ?t known: it keys on ?s and groups by ?t,
+// whose values are nearly distinct per row, so the last step sends about
+// one message per row, as probing row by row did.
+TEST(ScaleoutStoreTest, GroupedExtensionStepSendsOneMessagePerGroupChunk) {
+  BartonConfig config;
+  config.target_triples = 20000;
+  const auto barton = GenerateBarton(config);
+  const std::string prefix =
+      "SELECT ?s ?t WHERE { ?s <type> <Text> . ?s ?p ?t }";
+  const std::string query =
+      "SELECT ?s ?t WHERE { ?s <type> <Text> . ?s <language> ?t . "
+      "?s ?p ?t }";
+
+  core::StoreOptions single;
+  auto one_node = core::RdfStore::Open(barton.dataset, single);
+  core::StoreOptions scaled = single;
+  scaled.nodes = 4;
+  auto four_nodes = core::RdfStore::Open(barton.dataset, scaled);
+
+  const exec::ExecContext ectx(1);
+  auto rows_of = [&](const core::RdfStore& store, const std::string& text) {
+    auto out = sparql::Execute(store.backend(), barton.dataset, text, ectx,
+                               &store.stats());
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    std::vector<std::vector<uint64_t>> rows;
+    for (const auto& row : out.value().rows) rows.push_back(row.ids);
+    return rows;
+  };
+  // The last step's binding rows, and its MatchBatch calls: the key
+  // chunks of each ?t group's distinct ?s keys.
+  const auto bindings = rows_of(*four_nodes, prefix);
+  std::map<uint64_t, std::set<uint64_t>> subjects_of;
+  for (const auto& row : bindings) subjects_of[row[1]].insert(row[0]);
+  uint64_t calls = 0;
+  for (const auto& [t, subjects] : subjects_of) {
+    calls += core::KeyChunks(subjects.size());
+  }
+  ASSERT_GT(calls, core::KeyChunks(bindings.size()));
+  ASSERT_LE(calls, bindings.size());
+
+  auto expected = rows_of(*one_node, query);
+  core::ScopedProfile profile("query", four_nodes->backend(), ectx);
+  auto got = rows_of(*four_nodes, query);
+  const std::shared_ptr<obs::TraceSession> session = profile.Finish();
+  std::sort(expected.begin(), expected.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expected);
+
+  const obs::SpanNode* last = nullptr;
+  for (const auto& child : session->root().children) {
+    if (child->name.rfind("bgp.extend", 0) == 0) last = child.get();
+  }
+  ASSERT_NE(last, nullptr);
+  ASSERT_EQ(last->rows_in, bindings.size()) << "plan order changed";
+  // At most one message per node per call, plus the forward key batch.
+  EXPECT_LE(last->net_messages(), scaled.nodes * calls + 1)
+      << "calls " << calls << " rows_in " << last->rows_in;
+  EXPECT_GT(last->net_messages(), 0u);
 }
 
 TEST(ScaleoutStoreTest, WritesRouteToOwningNode) {
